@@ -92,29 +92,6 @@ def monomial_letters(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
 
-def monomial_of(*vars_and_exps) -> Monomial:
-    """Build a canonical monomial from Variables or (Variable, exp) pairs.
-
-    Only usable when no reordering sign can occur (distinct variables or
-    even repeats); general products should go through series multiplication.
-    """
-    pairs = []
-    for item in vars_and_exps:
-        v, e = item if isinstance(item, tuple) else (item, 1)
-        pairs.append((v, e))
-    pairs.sort(key=lambda p: p[0].key)
-    out: list[tuple[Variable, int]] = []
-    for v, e in pairs:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + e)
-        else:
-            out.append((v, e))
-    for v, e in out:
-        if v.odd and e > 1:
-            raise ValueError(f"odd variable {v.render()} squared")
-    return tuple(out)
-
-
 def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     """Product of two canonical monomials with its Koszul sign.
 
@@ -213,15 +190,9 @@ class GradedSeries:
                 seen[v.key] = v
         return [seen[k] for k in sorted(seen)]
 
-    def degrees(self) -> set[int]:
-        return {monomial_degree(m) for m in self._terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """Degree of a homogeneous series (None for the zero series)."""
-        degs = self.degrees()
+        degs = {monomial_degree(m) for m in self._terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -295,18 +266,14 @@ class GradedSeries:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def with_truncation(self, truncation: int) -> "GradedSeries":
-        return GradedSeries(self.registry, truncation, self._terms)
-
 
 def _monomial_sort_key(mono: Monomial):
     return (monomial_letters(mono), tuple((v.key, e) for v, e in mono))
 
 
-def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Supercommutative product, truncated in total p-degree."""
-    f._check_compatible(g)
-    terms: dict[Monomial, Fraction] = {}
+def _add_product(terms: dict[Monomial, Fraction], f: GradedSeries, g: GradedSeries,
+                 scale: int = 1) -> None:
+    """Accumulate ``scale * f * g`` into ``terms``, truncated in total p-degree."""
     for mono_f, coeff_f in f._terms.items():
         pf = monomial_p_degree(mono_f)
         for mono_g, coeff_g in g._terms.items():
@@ -315,12 +282,14 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
             mono, sign = merge_monomials(mono_f, mono_g)
             if mono is None:
                 continue
-            coeff = coeff_f * coeff_g * sign
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+            terms[mono] = terms.get(mono, 0) + coeff_f * coeff_g * (sign * scale)
+
+
+def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+    """Supercommutative product, truncated in total p-degree."""
+    f._check_compatible(g)
+    terms: dict[Monomial, Fraction] = {}
+    _add_product(terms, f, g)
     return GradedSeries(f.registry, f.truncation, terms)
 
 
@@ -340,11 +309,7 @@ def _partial(f: GradedSeries, v: Variable, from_right: bool) -> GradedSeries:
                 new = mono[:idx] + mono[idx + 1:]
             else:
                 new = mono[:idx] + ((w, e - 1),) + mono[idx + 1:]
-            acc = terms.get(new, Fraction(0)) + coeff * e * sign
-            if acc:
-                terms[new] = acc
-            else:
-                terms.pop(new, None)
+            terms[new] = terms.get(new, 0) + coeff * e * sign
             break
     return GradedSeries(f.registry, f.truncation, terms)
 
@@ -371,27 +336,28 @@ def _conjugate_pairs(*series: GradedSeries) -> list[tuple[Variable, Variable]]:
     return pairs
 
 
-def _bracket_homogeneous(f: GradedSeries, g: GradedSeries,
-                         pairs: list[tuple[Variable, Variable]]) -> GradedSeries:
-    sign = -1 if (f.degree() or 0) * (g.degree() or 0) % 2 == 1 else 1
-    out = GradedSeries.zero(f.registry, f.truncation)
+def _add_pairing(terms: dict[Monomial, Fraction], left: GradedSeries,
+                 right: GradedSeries, pairs: list[tuple[Variable, Variable]],
+                 sign: int = 1) -> None:
+    """Accumulate ``sign * sum_i kappa_i dR left/dp_i * dL right/dq_i`` into ``terms``.
+
+    The kappa-weighted pairing shared by the Poisson bracket and the
+    Hamilton-Jacobi right side (``potentials.hamilton_jacobi_rhs``).
+    """
     for p, q in pairs:
-        kappa = p.kappa
-        first = multiply(partial_right(f, p), partial(g, q))
-        second = multiply(partial_right(g, p), partial(f, q))
-        out = out + first.scale(kappa) - second.scale(sign * kappa)
-    return out
+        _add_product(terms, partial_right(left, p), partial(right, q), sign * p.kappa)
 
 
 def poisson_bracket(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Kappa-weighted graded Poisson bracket, extended bilinearly."""
     f._check_compatible(g)
     pairs = _conjugate_pairs(f, g)
-    out = GradedSeries.zero(f.registry, f.truncation)
-    for fh in f.by_degree().values():
-        for gh in g.by_degree().values():
-            out = out + _bracket_homogeneous(fh, gh, pairs)
-    return out
+    terms: dict[Monomial, Fraction] = {}
+    for df, fh in f.by_degree().items():
+        for dg, gh in g.by_degree().items():
+            _add_pairing(terms, fh, gh, pairs)
+            _add_pairing(terms, gh, fh, pairs, 1 if df * dg % 2 else -1)
+    return GradedSeries(f.registry, f.truncation, terms)
 
 
 def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
@@ -432,11 +398,7 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
             if acc.is_zero():
                 break
         for m, c in acc._terms.items():
-            total = out_terms.get(m, Fraction(0)) + c
-            if total:
-                out_terms[m] = total
-            else:
-                out_terms.pop(m, None)
+            out_terms[m] = out_terms.get(m, 0) + c
     return GradedSeries(f.registry, f.truncation, out_terms)
 
 

@@ -65,12 +65,26 @@ def _load_config(args) -> ConfigDocument:
     return doc
 
 
+def _lookup(items: dict, what: str, name: str):
+    """The named config item, or a ConfigError naming what is unknown."""
+    try:
+        return items[name]
+    except KeyError:
+        raise ConfigError(f"unknown {what} {name!r}") from None
+
+
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be at least {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_cz(args) -> int:
+    _require_at_least("--max-k", args.max_k, 1)
     doc = _load_config(args)
     names = args.orbits or [o.name for o in doc.registry.orbits()]
     rows = []
@@ -132,16 +146,10 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_strata(args) -> int:
+    _require_at_least("--max-codim", args.max_codim, 0)
     doc = _load_config(args)
-    spec = doc.covers.get(args.cover)
-    if spec is None:
-        raise ConfigError(f"unknown cover {args.cover!r}")
-    neck = None
-    if args.neck:
-        neck_cfg = doc.necks.get(args.neck)
-        if neck_cfg is None:
-            raise ConfigError(f"unknown neck {args.neck!r}")
-        neck = neck_cfg.split()
+    spec = _lookup(doc.covers, "cover", args.cover)
+    neck = _lookup(doc.necks, "neck", args.neck).split() if args.neck else None
     graph = cv.boundary_strata(spec, neck=neck, max_codim=args.max_codim)
     if args.format == "records":
         text = graph.render_edge_lines()
@@ -155,7 +163,11 @@ def cmd_strata(args) -> int:
 def cmd_hurwitz(args) -> int:
     profiles = []
     for chunk in args.profile or []:
-        profiles.append(tuple(int(p) for p in chunk.split(",")))
+        try:
+            profiles.append(tuple(int(p) for p in chunk.split(",")))
+        except ValueError:
+            raise ConfigError(
+                f"--profile takes comma-separated integers, got {chunk!r}") from None
     value = cv.hurwitz_count(args.degree, profiles, args.branch_points)
     _emit(args, ["degree", "profiles", "branch_points", "count"],
           [[str(args.degree),
@@ -165,18 +177,13 @@ def cmd_hurwitz(args) -> int:
 
 
 def _build_potential(doc: ConfigDocument, name: str) -> pt.Potential:
-    table = doc.tables.get(name)
-    if table is None:
-        raise ConfigError(f"unknown table {name!r}")
-    return pt.potential_from_counts(table, doc.truncation)
+    return pt.potential_from_counts(_lookup(doc.tables, "table", name), doc.truncation)
 
 
 def cmd_hamiltonian(args) -> int:
     doc = _load_config(args)
-    table = doc.tables.get(args.table)
-    if table is None:
-        raise ConfigError(f"unknown table {args.table!r}")
-    ham = pt.hamiltonian_from_counts(table, doc.truncation)
+    ham = pt.hamiltonian_from_counts(_lookup(doc.tables, "table", args.table),
+                                     doc.truncation)
     report = pt.assert_hamiltonian_vanishes(ham)
     rows = [["series", ham.render()], ["vanishing", report.status],
             ["detail", report.message]]
@@ -214,9 +221,7 @@ def cmd_compose(args) -> int:
 
 def cmd_exceptional(args) -> int:
     doc = _load_config(args)
-    curve = doc.curves.get(args.curve)
-    if curve is None:
-        raise ConfigError(f"unknown curve {args.curve!r}")
+    curve = _lookup(doc.curves, "curve", args.curve)
     inv = ex.exceptional_invariants(curve)
     result = ex.recursion_pipeline(ex.DescendantSpec(curve, 2, 1, (1,)))
     print(f"curve {curve.name}: self_intersection={inv.self_intersection} "
@@ -234,9 +239,7 @@ def cmd_exceptional(args) -> int:
 
 def cmd_neckstretch(args) -> int:
     doc = _load_config(args)
-    neck = doc.necks.get(args.neck)
-    if neck is None:
-        raise ConfigError(f"unknown neck {args.neck!r}")
+    neck = _lookup(doc.necks, "neck", args.neck)
     try:
         equations = ex.splitting_equations(neck)
         print(equations.render())
@@ -385,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="human tables or line-oriented machine records")
     common.add_argument("--truncation", type=int, default=argparse.SUPPRESS,
                         help="override the config truncation order")
-    common.add_argument("--trace", action="store_true", default=argparse.SUPPRESS,
-                        help="kept for compatibility; traces print by default")
     parser = argparse.ArgumentParser(
         prog="localsft",
         parents=[common],
@@ -455,8 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # global options may appear before or after the subcommand; the shared
     # actions use SUPPRESS defaults, so fill in the real ones here
-    for key, value in (("config", None), ("format", "table"),
-                       ("truncation", 0), ("trace", False)):
+    for key, value in (("config", None), ("format", "table"), ("truncation", 0)):
         if not hasattr(args, key):
             setattr(args, key, value)
     try:

@@ -19,7 +19,8 @@ Statement forms::
       <pos-collection> <neg-collection> <count>
       ...
     end
-    neck <name> orbits=(a,b) plus=<curve> minus=<curve> [separating=no]
+    neck <name> orbits=(a,b) plus=<curve>|cyl:<orbit> minus=<curve>|cyl:<orbit>
+                 [separating=no]
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def _parse_collection(text: str, registry: OrbitRegistry, sign: str,
             items.append(registry.get(name).iterate(k))
         except LocalSFTError as exc:
             raise ConfigError(str(exc), line, col)
+    items.sort(key=lambda it: (it.orbit.name, it.k))
     return OrbitCollection(tuple(items), sign=sign)
 
 
@@ -172,15 +174,34 @@ def parse_config(text: str) -> ConfigDocument:
     return doc
 
 
-def _statement_name(tokens: list[str], lineno: int, content: str, what: str) -> str:
+def _statement_name(tokens: list[str], lineno: int, what: str) -> str:
     if len(tokens) < 2 or "=" in tokens[1]:
         raise ConfigError(f"{what} statement needs a name", lineno, 1)
-    name = tokens[1]
-    return name
+    return tokens[1]
+
+
+def _take(kv: dict[str, tuple[str, int]], key: str, parse, default, lineno: int):
+    """Remove ``key`` from ``kv`` and parse its value; ``default`` when absent."""
+    item = kv.pop(key, None)
+    return default if item is None else parse(item[0], lineno, item[1])
+
+
+def _take_collection(kv: dict[str, tuple[str, int]], key: str, registry: OrbitRegistry,
+                     sign: str, lineno: int) -> OrbitCollection:
+    item = kv.pop(key, None)
+    if item is None:
+        return OrbitCollection((), sign=sign)
+    return _parse_collection(item[0], registry, sign, lineno, item[1])
+
+
+def _reject_unknown_keys(kv: dict[str, tuple[str, int]], what: str, lineno: int) -> None:
+    if kv:
+        key = next(iter(kv))
+        raise ConfigError(f"unknown {what} key {key!r}", lineno, kv[key][1])
 
 
 def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
-    name = _statement_name(tokens, lineno, content, "orbit")
+    name = _statement_name(tokens, lineno, "orbit")
     if len(tokens) < 3 or "=" in tokens[2]:
         raise ConfigError("orbit statement needs a kind (elliptic/hyperbolic)", lineno, 1)
     kind = tokens[2]
@@ -189,9 +210,7 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
     cz1 = kv.pop("cz1", None)
     max_iterate = kv.pop("max_iterate", None)
     morse = kv.pop("morse", None)
-    if kv:
-        key = next(iter(kv))
-        raise ConfigError(f"unknown orbit key {key!r}", lineno, kv[key][1])
+    _reject_unknown_keys(kv, "orbit", lineno)
     try:
         orbit = ReebOrbit(
             name, kind,
@@ -211,40 +230,25 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
 
 
 def _parse_curve(doc: ConfigDocument, tokens, lineno, content):
-    name = _statement_name(tokens, lineno, content, "curve")
+    name = _statement_name(tokens, lineno, "curve")
     if name in doc.curves:
         raise ConfigError(f"duplicate curve name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno, content)
-    def take_bool(key, default):
-        item = kv.pop(key, None)
-        return default if item is None else _parse_bool(item[0], lineno, item[1])
-    def take_int(key, default):
-        item = kv.pop(key, None)
-        return default if item is None else _parse_int(item[0], lineno, item[1])
-    def take_coll(key, sign):
-        item = kv.pop(key, None)
-        if item is None:
-            return OrbitCollection((), sign=sign)
-        return _parse_collection(item[0], doc.registry, sign, lineno, item[1])
-    closed = take_bool("closed", False)
-    immersed = take_bool("immersed", True)
-    index = take_int("index", 0)
-    rel = take_int("rel_c1_doubled", 0)
-    pos = take_coll("pos", "positive")
-    neg = take_coll("neg", "negative")
-    if kv:
-        key = next(iter(kv))
-        raise ConfigError(f"unknown curve key {key!r}", lineno, kv[key][1])
+    closed = _take(kv, "closed", _parse_bool, False, lineno)
+    immersed = _take(kv, "immersed", _parse_bool, True, lineno)
+    index = _take(kv, "index", _parse_int, 0, lineno)
+    rel = _take(kv, "rel_c1_doubled", _parse_int, 0, lineno)
+    pos = _take_collection(kv, "pos", doc.registry, "positive", lineno)
+    neg = _take_collection(kv, "neg", doc.registry, "negative", lineno)
+    _reject_unknown_keys(kv, "curve", lineno)
     try:
         doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
-    except ConfigError:
-        raise
     except (ValueError, LocalSFTError) as exc:
         raise ConfigError(str(exc), lineno)
 
 
 def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
-    name = _statement_name(tokens, lineno, content, "cover")
+    name = _statement_name(tokens, lineno, "cover")
     if name in doc.covers:
         raise ConfigError(f"duplicate cover name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno, content)
@@ -259,38 +263,25 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
     if degree_item is None:
         raise ConfigError("cover statement needs degree=<int>", lineno)
     degree = _parse_int(degree_item[0], lineno, degree_item[1])
-    def take_coll(key, sign):
-        item = kv.pop(key, None)
-        if item is None:
-            return OrbitCollection((), sign=sign)
-        return _parse_collection(item[0], doc.registry, sign, lineno, item[1])
-    pos = take_coll("pos", "positive")
-    neg = take_coll("neg", "negative")
-    marked_item = kv.pop("marked", None)
-    marked = 0 if marked_item is None else _parse_int(marked_item[0], lineno, marked_item[1])
-    con_item = kv.pop("constrained", None)
-    constrained = 0 if con_item is None else _parse_int(con_item[0], lineno, con_item[1])
-    if kv:
-        key = next(iter(kv))
-        raise ConfigError(f"unknown cover key {key!r}", lineno, kv[key][1])
+    pos = _take_collection(kv, "pos", doc.registry, "positive", lineno)
+    neg = _take_collection(kv, "neg", doc.registry, "negative", lineno)
+    marked = _take(kv, "marked", _parse_int, 0, lineno)
+    constrained = _take(kv, "constrained", _parse_int, 0, lineno)
+    _reject_unknown_keys(kv, "cover", lineno)
     try:
         doc.covers[name] = CoverSpec(base, degree, pos, neg, marked, constrained)
-    except ConfigError:
-        raise
     except (ValueError, LocalSFTError) as exc:
         raise ConfigError(str(exc), lineno)
 
 
 def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
-    name = _statement_name(tokens, lineno, content, "table")
+    name = _statement_name(tokens, lineno, "table")
     if name in doc.tables:
         raise ConfigError(f"duplicate table name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno, content)
     orbit_item = kv.pop("orbit", None)
     curve_item = kv.pop("curve", None)
-    if kv:
-        key = next(iter(kv))
-        raise ConfigError(f"unknown table key {key!r}", lineno, kv[key][1])
+    _reject_unknown_keys(kv, "table", lineno)
     if (orbit_item is None) == (curve_item is None):
         raise ConfigError("table statement needs exactly one of orbit=.../curve=...", lineno)
     entries = {}
@@ -331,7 +322,7 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
 
 
 def _parse_neck(doc: ConfigDocument, tokens, lineno, content):
-    name = _statement_name(tokens, lineno, content, "neck")
+    name = _statement_name(tokens, lineno, "neck")
     if name in doc.necks:
         raise ConfigError(f"duplicate neck name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno, content)
@@ -339,9 +330,7 @@ def _parse_neck(doc: ConfigDocument, tokens, lineno, content):
     plus_item = kv.pop("plus", None)
     minus_item = kv.pop("minus", None)
     sep_item = kv.pop("separating", None)
-    if kv:
-        key = next(iter(kv))
-        raise ConfigError(f"unknown neck key {key!r}", lineno, kv[key][1])
+    _reject_unknown_keys(kv, "neck", lineno)
     if orbits_item is None or plus_item is None or minus_item is None:
         raise ConfigError("neck statement needs orbits=, plus= and minus=", lineno)
     orbit_names = _parse_name_list(orbits_item[0], lineno, orbits_item[1])
@@ -370,8 +359,11 @@ def _parse_neck(doc: ConfigDocument, tokens, lineno, content):
 # ---------------------------------------------------------------------------
 
 
-def _render_collection(coll: OrbitCollection) -> str:
-    return coll.render()
+def _curve_ref(curve: BaseCurve) -> str:
+    """How a document refers to a curve: ``cyl:<orbit>`` for an orbit cylinder."""
+    if curve.name.startswith("cyl(") and curve.name.endswith(")"):
+        return "cyl:" + curve.name[4:-1]
+    return curve.name
 
 
 def render_config(doc: ConfigDocument) -> str:
@@ -398,22 +390,19 @@ def render_config(doc: ConfigDocument) -> str:
         bits.append(f"index={curve.index}")
         bits.append(f"rel_c1_doubled={curve.rel_c1_doubled}")
         if len(curve.positive_ends):
-            bits.append(f"pos={_render_collection(curve.positive_ends)}")
+            bits.append(f"pos={curve.positive_ends.render()}")
         if len(curve.negative_ends):
-            bits.append(f"neg={_render_collection(curve.negative_ends)}")
+            bits.append(f"neg={curve.negative_ends.render()}")
         out.append(" ".join(bits))
     if doc.curves:
         out.append("")
     for name in sorted(doc.covers):
         cover = doc.covers[name]
-        base = cover.base.name
-        if base.startswith("cyl(") and base.endswith(")"):
-            base = "cyl:" + base[4:-1]
-        bits = [f"cover {name} base={base} degree={cover.degree}"]
+        bits = [f"cover {name} base={_curve_ref(cover.base)} degree={cover.degree}"]
         if len(cover.positive_ends):
-            bits.append(f"pos={_render_collection(cover.positive_ends)}")
+            bits.append(f"pos={cover.positive_ends.render()}")
         if len(cover.negative_ends):
-            bits.append(f"neg={_render_collection(cover.negative_ends)}")
+            bits.append(f"neg={cover.negative_ends.render()}")
         if cover.marked_points:
             bits.append(f"marked={cover.marked_points}")
         if cover.constrained_branch_points:
@@ -433,9 +422,8 @@ def render_config(doc: ConfigDocument) -> str:
     for name in sorted(doc.necks):
         neck = doc.necks[name]
         orbit_names = ",".join(o.name for o in neck.gamma_set)
-        plus = neck.side_plus.name
-        minus = neck.side_minus.name
-        bits = [f"neck {name} orbits=({orbit_names}) plus={plus} minus={minus}"]
+        bits = [f"neck {name} orbits=({orbit_names}) plus={_curve_ref(neck.side_plus)}"
+                f" minus={_curve_ref(neck.side_minus)}"]
         if not neck.separating:
             bits.append("separating=no")
         out.append(" ".join(bits))

@@ -190,7 +190,11 @@ def virtual_dimension(spec: CoverSpec, components: int = 1) -> int:
     translation quotiented; a pinned special point on the cylinder fixes
     the translation, so nothing is subtracted in the constrained case.
     """
-    dim = fredholm_index(spec, components) - 2 * spec.constrained_branch_points
+    return _virtual_dim(spec, fredholm_index(spec, components))
+
+
+def _virtual_dim(spec: CoverSpec, index: int) -> int:
+    dim = index - 2 * spec.constrained_branch_points
     if is_orbit_cylinder(spec.base) and spec.marked_points == 0:
         dim -= 1
     return dim
@@ -422,16 +426,13 @@ def _make_node(spec: CoverSpec, components: int, level: str) -> StratumNode | No
             except HypothesesViolated:
                 rank = None
     ind = fredholm_index(spec, components)
-    virdim = ind - 2 * spec.constrained_branch_points
-    if is_orbit_cylinder(spec.base) and spec.marked_points == 0:
-        virdim -= 1
     return StratumNode(
         node_id=_node_id(spec, components, level),
         spec=spec,
         components=components,
         level=level,
         index=ind,
-        virtual_dim=virdim,
+        virtual_dim=_virtual_dim(spec, ind),
         unperturbed_dim=unperturbed,
         obstruction_rank=rank,
         empty=empty,
@@ -698,9 +699,12 @@ def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
         raise DegreeTooLarge(f"degree {d} exceeds the enumeration bound "
                              f"{HURWITZ_DEGREE_BOUND}")
     if d < 1:
-        raise ValueError("degree must be positive")
+        raise InconsistentProfile(f"degree must be positive, got {d}")
+    if simple_branch_points < 0:
+        raise InconsistentProfile(
+            f"number of simple branch points must be non-negative, got {simple_branch_points}")
     for profile in end_profiles:
-        if sum(profile) != d:
+        if sum(profile) != d or min(profile) < 1:
             raise InconsistentProfile(f"profile {profile} is not a partition of {d}")
     identity = tuple(range(d))
     transpositions = permutations_of_type(d, (2,) + (1,) * (d - 2)) if d >= 2 else []

@@ -49,13 +49,6 @@ class Axiom:
 
 
 AXIOMS = {
-    "orbit-hamiltonian-vanishes": Axiom(
-        "orbit-hamiltonian-vanishes",
-        "the generating function counting perturbed branched covers of an "
-        "orbit cylinder vanishes identically, for every coherent choice of "
-        "obstruction-bundle sections",
-        "imported result: obstruction-bundle computation for orbit cylinders",
-    ),
     "hyperbolic-descendant-vanishing": Axiom(
         "hyperbolic-descendant-vanishing",
         "the generating function counting branched covers of an orbit "
@@ -430,29 +423,26 @@ def splitting_equations(neck: NeckConfiguration) -> SplittingEquations:
                              positive_ends=OrbitCollection(pair.items, sign="positive"),
                              marked_points=1, constrained_branch_points=1)
 
-    idx_plus = fredholm_index(plane_plus)
-    idx_minus = fredholm_index(plane_minus)
+    indices = (("plus", fredholm_index(plane_plus)), ("minus", fredholm_index(plane_minus)))
+    # the plane and the constrained count on its side, the constrained count
+    # of the other side, and the case label
     if defect == -1:
-        equations = SplittingEquations(
-            orbit=gamma.name,
-            defect=defect,
-            case_label="defect -1: rigid doubly-covered plane on the negative side",
-            sum_terms=(_moduli_symbol(plane_minus), _moduli_symbol(marked_plus)),
-            single_term=_moduli_symbol(marked_minus),
-            right_side=MINUS_ONE_QUARTER,
-            gamma_squared_indices=(("plus", idx_plus), ("minus", idx_minus)),
-        )
+        plane, same_side, other_side, label = (
+            plane_minus, marked_minus, marked_plus,
+            "defect -1: rigid doubly-covered plane on the negative side")
     else:
-        equations = SplittingEquations(
-            orbit=gamma.name,
-            defect=defect,
-            case_label="defect +1: rigid doubly-covered plane on the positive side",
-            sum_terms=(_moduli_symbol(plane_plus), _moduli_symbol(marked_minus)),
-            single_term=_moduli_symbol(marked_plus),
-            right_side=MINUS_ONE_QUARTER,
-            gamma_squared_indices=(("plus", idx_plus), ("minus", idx_minus)),
-        )
-    return equations
+        plane, same_side, other_side, label = (
+            plane_plus, marked_plus, marked_minus,
+            "defect +1: rigid doubly-covered plane on the positive side")
+    return SplittingEquations(
+        orbit=gamma.name,
+        defect=defect,
+        case_label=label,
+        sum_terms=(_moduli_symbol(plane), _moduli_symbol(other_side)),
+        single_term=_moduli_symbol(same_side),
+        right_side=MINUS_ONE_QUARTER,
+        gamma_squared_indices=indices,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ from math import factorial
 
 from .algebra import (
     GradedSeries,
+    Monomial,
     Variable,
+    _add_pairing,
+    _conjugate_pairs,
     monomial_letters,
     multiply,
     partial,
@@ -180,14 +183,8 @@ def potential_from_counts(table: CountTable, truncation: int,
     registry = table.registry
     series = GradedSeries.zero(registry, truncation)
     for (pos_key, neg_key), count in table.sorted_entries():
-        term = GradedSeries.constant(registry, truncation, count * _weight(pos_key, neg_key))
-        for name, k in neg_key:
-            var = Variable(registry.get(name).iterate(k), "q", q_side)
-            term = multiply(term, GradedSeries.of(registry, truncation, var))
-        for name, k in pos_key:
-            var = Variable(registry.get(name).iterate(k), "p", p_side)
-            term = multiply(term, GradedSeries.of(registry, truncation, var))
-        series = series + term
+        term = _key_monomial(pos_key, neg_key, registry, truncation, q_side, p_side)
+        series = series + term.scale(count * _weight(pos_key, neg_key))
     return Potential(series, source=table, q_side=q_side, p_side=p_side)
 
 
@@ -218,6 +215,17 @@ def _key_monomial(pos_key: CollectionKey, neg_key: CollectionKey,
     return term
 
 
+def _monomial_key(mono: Monomial, potential: Potential) -> TableKey | None:
+    """Table key of a monomial; None for a letter outside the potential's slots."""
+    ends = {("p", potential.p_side): [], ("q", potential.q_side): []}
+    for var, exp in mono:
+        if (var.kind, var.side) not in ends:
+            return None
+        ends[var.kind, var.side].extend([(var.iterate.orbit.name, var.iterate.k)] * exp)
+    pos, neg = ends.values()
+    return tuple(sorted(pos)), tuple(sorted(neg))
+
+
 def potential_to_counts(potential: Potential) -> CountTable:
     """Read the counts back off the coefficients (inverse of the weights)."""
     if potential.source is None:
@@ -226,19 +234,11 @@ def potential_to_counts(potential: Potential) -> CountTable:
     registry = potential.series.registry
     entries: dict[TableKey, Fraction] = {}
     for mono, coeff in potential.series.terms():
-        pos: list[tuple[str, int]] = []
-        neg: list[tuple[str, int]] = []
-        for var, exp in mono:
-            slot = (var.iterate.orbit.name, var.iterate.k)
-            if var.kind == "p" and var.side == potential.p_side:
-                pos.extend([slot] * exp)
-            elif var.kind == "q" and var.side == potential.q_side:
-                neg.extend([slot] * exp)
-            else:
-                raise InadmissibleKey(
-                    f"monomial {render_monomial(mono)} has a variable outside the "
-                    f"potential's (q {potential.q_side}, p {potential.p_side}) slots")
-        key = (tuple(sorted(pos)), tuple(sorted(neg)))
+        key = _monomial_key(mono, potential)
+        if key is None:
+            raise InadmissibleKey(
+                f"monomial {render_monomial(mono)} has a variable outside the "
+                f"potential's (q {potential.q_side}, p {potential.p_side}) slots")
         unit = _key_monomial(*key, registry, potential.series.truncation,
                              potential.q_side, potential.p_side)
         sign = unit.coefficient(mono)
@@ -271,15 +271,8 @@ def assert_hamiltonian_vanishes(h: Potential) -> VanishingReport:
     offenders = tuple(render_monomial(m) for m, _ in h.series.terms())
     if h.source is not None:
         flagged = {key for key, ok in h.source.hypothesis_ok.items() if not ok}
-        keys = set()
-        for mono, _ in h.series.terms():
-            pos = []
-            neg = []
-            for var, exp in mono:
-                slot = (var.iterate.orbit.name, var.iterate.k)
-                (pos if var.kind == "p" else neg).extend([slot] * exp)
-            keys.add((tuple(sorted(pos)), tuple(sorted(neg))))
-        if keys and keys <= flagged:
+        keys = {_monomial_key(mono, h) for mono, _ in h.series.terms()}
+        if keys <= flagged:
             return VanishingReport(
                 "warn", offenders,
                 "nonzero terms come only from entries with failing rank hypotheses")
@@ -438,17 +431,6 @@ def transform_potential(f0: Potential, f10: Potential, f01: Potential,
 # ---------------------------------------------------------------------------
 
 
-def _pairs_in(*series: GradedSeries) -> list[tuple[Variable, Variable]]:
-    slots: dict[tuple, OrbitIterate] = {}
-    for s in series:
-        for v in s.variables():
-            slots[(v.iterate.orbit.name, v.iterate.k, v.side)] = v.iterate
-    out = []
-    for (name, k, side), it in sorted(slots.items()):
-        out.append((Variable(it, "p", side), Variable(it, "q", side)))
-    return out
-
-
 def hamilton_jacobi_rhs(h_plus: Potential, h_minus: Potential,
                         k: GradedSeries) -> GradedSeries:
     """The kappa-weighted two-term pairing driving the homotopy equation.
@@ -461,12 +443,11 @@ def hamilton_jacobi_rhs(h_plus: Potential, h_minus: Potential,
     hp, hm = h_plus.series, h_minus.series
     hp._check_compatible(k)
     hm._check_compatible(k)
-    out = GradedSeries.zero(k.registry, k.truncation)
-    for p_var, q_var in _pairs_in(hp, hm, k):
-        kappa = p_var.kappa
-        out = out + multiply(partial_right(hp, p_var), partial(k, q_var)).scale(kappa)
-        out = out + multiply(partial_right(k, p_var), partial(hm, q_var)).scale(kappa)
-    return out
+    pairs = _conjugate_pairs(hp, hm, k)
+    terms: dict[Monomial, Fraction] = {}
+    _add_pairing(terms, hp, k, pairs)
+    _add_pairing(terms, k, hm, pairs)
+    return GradedSeries(k.registry, k.truncation, terms)
 
 
 def lagrangian_restrict(g: GradedSeries, f_v: Potential) -> GradedSeries:

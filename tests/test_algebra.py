@@ -18,6 +18,7 @@ from localsft.algebra import (
 )
 from localsft.errors import BadOrbit, DegreeMismatch, RegistryMismatch, TruncationOverflow
 from localsft.orbits import OrbitRegistry, ReebOrbit
+from localsft.potentials import Potential, hamilton_jacobi_rhs
 
 TRUNC = 6
 
@@ -293,3 +294,58 @@ def test_products_match_letter_list_oracle(indices):
     expanded = tuple(v for v, e in mono for _ in range(e))
     assert expanded == sorted_letters
     assert coeff == sign
+
+
+# -- slow oracle for the kappa pairing ----------------------------------------
+
+ITERATES = [REG.get("a").iterate(1), REG.get("a").iterate(2),
+            REG.get("b").iterate(1), REG.get("c").iterate(1)]
+SIDED_PAIRS = [(Variable(it, "p", side), Variable(it, "q", side))
+               for it in ITERATES for side in ("middle", "plus")]
+SIDED_VARS = [v for pair in SIDED_PAIRS for v in pair]
+
+
+def _series_from(spec):
+    out = GradedSeries.zero(REG, TRUNC)
+    for num, den, letters in spec:
+        term = const(Fraction(num, den))
+        for i in letters:
+            term = multiply(term, S(SIDED_VARS[i]))
+        out = out + term
+    return out
+
+
+series_strategy = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3),
+              st.lists(st.integers(0, len(SIDED_VARS) - 1), max_size=3)),
+    max_size=4).map(_series_from)
+
+
+def _reference_pairing(a, b):
+    """sum kappa dR a/dp * dL b/dq over every conjugate pair of the registry."""
+    out = GradedSeries.zero(REG, TRUNC)
+    for p, q in SIDED_PAIRS:
+        out = out + multiply(partial_right(a, p), partial(b, q)).scale(p.kappa)
+    return out
+
+
+def _reference_bracket(f, g):
+    """The bracket extended bilinearly from single terms."""
+    out = GradedSeries.zero(REG, TRUNC)
+    for mono_f, coeff_f in f.terms():
+        a = GradedSeries(REG, TRUNC, {mono_f: coeff_f})
+        for mono_g, coeff_g in g.terms():
+            b = GradedSeries(REG, TRUNC, {mono_g: coeff_g})
+            sign = -1 if a.degree() * b.degree() % 2 else 1
+            out = out + _reference_pairing(a, b) - _reference_pairing(b, a).scale(sign)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_strategy, series_strategy, series_strategy)
+def test_pairing_matches_slow_oracle(f, g, k):
+    assert poisson_bracket(f, g) == _reference_bracket(f, g)
+    h_plus = Potential(f, q_side="middle", p_side="middle")
+    h_minus = Potential(g, q_side="plus", p_side="plus")
+    assert hamilton_jacobi_rhs(h_plus, h_minus, k) == (
+        _reference_pairing(f, k) + _reference_pairing(k, g))

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -208,3 +209,35 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "-1/4" in proc.stdout
+
+
+def test_cylinder_neck_and_unordered_collection_roundtrip(tmp_path):
+    text = (
+        "orbit e elliptic theta=3/10 max_iterate=4\n"
+        "orbit h hyperbolic cz1=2\n"
+        "curve c index=2 rel_c1_doubled=0 pos=(e^2,e)\n"
+        "neck n orbits=(h) plus=cyl:h minus=cyl:e\n")
+    doc = parse_config(text)
+    rendered = render_config(doc)
+    assert "pos=(e,e^2)" in rendered
+    assert "plus=cyl:h minus=cyl:e" in rendered
+    assert parse_config(rendered) == doc
+    cfg = tmp_path / "roundtrip.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert code == 0, out + err
+    assert "config-roundtrip  pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("hurwitz", "--degree", "2", "--profile", "2,x"),
+    ("hurwitz", "--degree", "0"),
+    ("hurwitz", "--degree", "2", "--branch-points", "-1"),
+    ("hurwitz", "--degree", "2", "--profile", "2,0"),
+    ("--config", str(EXAMPLE), "strata", "cyl_pair", "--max-codim", "-1"),
+    ("--config", str(EXAMPLE), "cz", "--max-k", "0"),
+])
+def test_invalid_arguments_give_one_error_line(argv):
+    code, _, err = run_cli(*argv)
+    assert code in (1, 2)
+    assert re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err
