@@ -1,11 +1,21 @@
 """Exact graded supercommutative series in orbit p/q-variables.
 
-Coefficients are exact rationals.  Monomials are stored in a canonical
+Coefficients are exact rationals.  Monomials are kept in a canonical
 variable order (orbit name, iterate, kind, side); reordering odd variables
 costs a Koszul sign and odd squares vanish.  Series are polynomial in the
 q-variables and truncated in total p-degree (the number of p-letters of a
 monomial), matching the power-series-in-p structure of the generating
 functions they carry.
+
+Inside a series each variable is an integer *slot* and a monomial is the
+sorted tuple of its letters' slots, one entry per unit of exponent.  A slot
+packs the rank of the orbit name in the registry, the iterate, the kind and
+the side into bit fields, most significant first, so slots sort in the
+canonical order; the lowest bit is the variable's parity.  A product sorts
+the concatenated letters, with the Koszul sign of the inversions between odd
+slots.  Slots depend only on the variable and the registry's orbit names, so
+equal registries share them.  ``Variable``, ``terms()``, ``coefficient()``
+and the constructor speak ``((Variable, exponent), ...)`` monomials.
 
 Sign conventions, fixed once for the whole package:
 
@@ -27,8 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
-from .errors import DegreeMismatch, RegistryMismatch, TruncationOverflow
+from .errors import (
+    DegreeMismatch,
+    InvalidTruncation,
+    IterateOutOfRange,
+    RegistryMismatch,
+    TruncationOverflow,
+)
 from .orbits import OrbitIterate, OrbitRegistry, variable_degree
 
 SIDES = ("middle", "minus", "plus")
@@ -79,51 +96,93 @@ Monomial = tuple[tuple[Variable, int], ...]
 
 ONE: Monomial = ()
 
+SlotTerms = dict[tuple[int, ...], Fraction]
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(v.degree * e for v, e in mono)
+# Bit fields of a slot, least significant first: parity (1 bit), side (2),
+# kind (1, p before q), iterate (_K_BITS), then the rank of the orbit name.
+_K_BITS = 29
+_Q_BIT = 8
 
 
-def monomial_p_degree(mono: Monomial) -> int:
-    return sum(e for v, e in mono if v.kind == "p")
+def _kappa(slot: int) -> int:
+    return slot >> 4 & ((1 << _K_BITS) - 1)
 
 
-def monomial_letters(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
+class _SlotTable(dict):
+    """slot -> Variable over one registry's orbits, filled on first lookup."""
+
+    def __init__(self, registry: OrbitRegistry):
+        super().__init__()
+        self.orbits = registry.orbits()
+        self.rank = {orbit.name: i for i, orbit in enumerate(self.orbits)}
+
+    def __missing__(self, slot: int) -> Variable:
+        orbit = self.orbits[slot >> (_K_BITS + 4)]
+        kind = "q" if slot & _Q_BIT else "p"
+        var = self[slot] = Variable(orbit.iterate(_kappa(slot)), kind, SIDES[slot >> 1 & 3])
+        return var
+
+    def slot(self, v: Variable) -> int:
+        it = v.iterate
+        rank = self.rank.get(it.orbit.name)
+        if rank is None or (self.orbits[rank] is not it.orbit and self.orbits[rank] != it.orbit):
+            raise RegistryMismatch(f"variable {v.render()} is not over the series' registry")
+        if it.k >> _K_BITS:
+            raise IterateOutOfRange(f"{it.name}: iterates from 2^{_K_BITS} on have no slot")
+        return ((rank << _K_BITS | it.k) << 4 | (v.kind == "q") << 3
+                | SIDES.index(v.side) << 1 | v.odd)
+
+    def letters(self, mono: Monomial) -> tuple[int, ...]:
+        return tuple(s for v, e in mono for s in (self.slot(v),) * e)
+
+
+def _slots(registry: OrbitRegistry) -> _SlotTable:
+    if registry.slot_table is None:
+        registry.slot_table = _SlotTable(registry)
+    return registry.slot_table
+
+
+def _runs(mono: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(slot, exponent) pairs of a slot monomial."""
+    return tuple((s, len(list(group))) for s, group in groupby(mono))
+
+
+def _p_degree(mono: tuple[int, ...]) -> int:
+    return sum(1 for s in mono if not s & _Q_BIT)
+
+
+def _degree(var: _SlotTable, mono: tuple[int, ...]) -> int:
+    return sum(var[s].degree for s in mono)
+
+
+def _odd(mono: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(s for s in mono if s & 1)
+
+
+def _koszul(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """Sign of sorting the odd slots ``left + right``; 0 when one is shared."""
+    sign = 1
+    for y in right:
+        if y in left:
+            return 0
+        for x in left:
+            if x > y:
+                sign = -sign
+    return sign
 
 
 def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     """Product of two canonical monomials with its Koszul sign.
 
-    Returns (None, 0) when an odd variable would appear twice.  The sign
-    counts the odd-odd transpositions needed to interleave ``b`` into ``a``.
+    Returns (None, 0) when an odd variable would appear twice.
     """
-    out: list[tuple[Variable, int]] = []
-    sign = 1
-    i = j = 0
-    odd_left_in_a = sum(1 for v, _ in a if v.odd)
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va.key < vb.key:
-            if va.odd:
-                odd_left_in_a -= 1
-            out.append((va, ea))
-            i += 1
-        elif va.key > vb.key:
-            if vb.odd and odd_left_in_a % 2 == 1:
-                sign = -sign
-            out.append((vb, eb))
-            j += 1
-        else:
-            if va.odd:
-                return None, 0
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
+    orbits = {v.iterate.orbit.name: v.iterate.orbit for v, _ in a + b}
+    var = _SlotTable(OrbitRegistry(list(orbits.values())))
+    left, right = var.letters(a), var.letters(b)
+    sign = _koszul(_odd(left), _odd(right))
+    if not sign:
+        return None, 0
+    return tuple((var[s], e) for s, e in _runs(tuple(sorted(left + right)))), sign
 
 
 def render_monomial(mono: Monomial) -> str:
@@ -138,7 +197,8 @@ def render_monomial(mono: Monomial) -> str:
 class GradedSeries:
     """A finitely supported series over a shared orbit registry.
 
-    Treated as immutable: all operations return fresh instances.
+    Treated as immutable: all operations return fresh instances.  ``_terms``
+    maps slot monomials to nonzero coefficients.
     """
 
     __slots__ = ("registry", "truncation", "_terms")
@@ -146,16 +206,24 @@ class GradedSeries:
     def __init__(self, registry: OrbitRegistry, truncation: int,
                  terms: dict[Monomial, Fraction] | None = None):
         if truncation < 1:
-            raise ValueError("truncation order must be positive")
+            raise InvalidTruncation(f"truncation order must be positive, got {truncation}")
         self.registry = registry
         self.truncation = truncation
-        clean: dict[Monomial, Fraction] = {}
+        clean: SlotTerms = {}
         for mono, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
-            if coeff == 0 or monomial_p_degree(mono) > truncation:
-                continue
-            clean[mono] = coeff
+            letters = _slots(registry).letters(mono)
+            if coeff != 0 and _p_degree(letters) <= truncation:
+                clean[letters] = coeff
         self._terms = clean
+
+    @classmethod
+    def _of_slots(cls, registry: OrbitRegistry, truncation: int,
+                  terms: SlotTerms) -> "GradedSeries":
+        """Series of truncated slot terms; zero coefficients are dropped."""
+        out = cls(registry, truncation)
+        out._terms = {m: c for m, c in terms.items() if c}
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -175,24 +243,25 @@ class GradedSeries:
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: _monomial_sort_key(t[0]))
+        # (letters, ((key, exp), ...)) order; slots sort like keys
+        var = _slots(self.registry)
+        ordered = sorted((len(m), _runs(m), c) for m, c in self._terms.items())
+        return [(tuple((var[s], e) for s, e in runs), c) for _, runs, c in ordered]
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return self._terms.get(_slots(self.registry).letters(mono), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def variables(self) -> list[Variable]:
-        seen = {}
-        for mono in self._terms:
-            for v, _ in mono:
-                seen[v.key] = v
-        return [seen[k] for k in sorted(seen)]
+        var = _slots(self.registry)
+        return [var[s] for s in sorted({s for mono in self._terms for s in mono})]
 
     def degree(self) -> int | None:
         """Degree of a homogeneous series (None for the zero series)."""
-        degs = {monomial_degree(m) for m in self._terms}
+        var = _slots(self.registry)
+        degs = {_degree(var, m) for m in self._terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -200,10 +269,11 @@ class GradedSeries:
         return next(iter(degs))
 
     def by_degree(self) -> dict[int, "GradedSeries"]:
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        var = _slots(self.registry)
+        buckets: dict[int, SlotTerms] = {}
         for mono, coeff in self._terms.items():
-            buckets.setdefault(monomial_degree(mono), {})[mono] = coeff
-        return {d: GradedSeries(self.registry, self.truncation, t)
+            buckets.setdefault(_degree(var, mono), {})[mono] = coeff
+        return {d: GradedSeries._of_slots(self.registry, self.truncation, t)
                 for d, t in sorted(buckets.items())}
 
     def render(self) -> str:
@@ -211,7 +281,7 @@ class GradedSeries:
             return "0"
         chunks = []
         for mono, coeff in self.terms():
-            if mono is ONE or not mono:
+            if not mono:
                 chunks.append(str(coeff))
             elif coeff == 1:
                 chunks.append(render_monomial(mono))
@@ -227,7 +297,7 @@ class GradedSeries:
     # -- ring structure ----------------------------------------------------
 
     def _check_compatible(self, other: "GradedSeries"):
-        if self.registry != other.registry:
+        if self.registry is not other.registry and self.registry != other.registry:
             raise RegistryMismatch("series built over different orbit registries")
         if self.truncation != other.truncation:
             raise RegistryMismatch(
@@ -244,8 +314,8 @@ class GradedSeries:
         self._check_compatible(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return GradedSeries(self.registry, self.truncation, terms)
+            terms[mono] = terms.get(mono, 0) + coeff
+        return GradedSeries._of_slots(self.registry, self.truncation, terms)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
@@ -255,8 +325,8 @@ class GradedSeries:
 
     def scale(self, value) -> "GradedSeries":
         value = Fraction(value)
-        return GradedSeries(self.registry, self.truncation,
-                            {m: c * value for m, c in self._terms.items()})
+        return GradedSeries._of_slots(self.registry, self.truncation,
+                                      {m: c * value for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
@@ -267,97 +337,85 @@ class GradedSeries:
         return self.scale(other)
 
 
-def _monomial_sort_key(mono: Monomial):
-    return (monomial_letters(mono), tuple((v.key, e) for v, e in mono))
-
-
-def _add_product(terms: dict[Monomial, Fraction], f: GradedSeries, g: GradedSeries,
-                 scale: int = 1) -> None:
-    """Accumulate ``scale * f * g`` into ``terms``, truncated in total p-degree."""
-    for mono_f, coeff_f in f._terms.items():
-        pf = monomial_p_degree(mono_f)
-        for mono_g, coeff_g in g._terms.items():
-            if pf + monomial_p_degree(mono_g) > f.truncation:
+def _add_product(terms: SlotTerms, a: SlotTerms, b: SlotTerms, truncation: int,
+                 scale: int = 1) -> SlotTerms:
+    """Accumulate ``scale * a * b`` into ``terms``, truncated in total p-degree."""
+    right = [(m, c, _p_degree(m), _odd(m)) for m, c in b.items()]
+    for mono_a, coeff_a in a.items():
+        room = truncation - _p_degree(mono_a)
+        odd_a = _odd(mono_a)
+        for mono_b, coeff_b, p_b, odd_b in right:
+            if p_b > room:
                 continue
-            mono, sign = merge_monomials(mono_f, mono_g)
-            if mono is None:
+            sign = _koszul(odd_a, odd_b) * scale if odd_a and odd_b else scale
+            if not sign:
                 continue
-            terms[mono] = terms.get(mono, 0) + coeff_f * coeff_g * (sign * scale)
+            mono = tuple(sorted(mono_a + mono_b))
+            coeff = coeff_a * coeff_b if sign == 1 else coeff_a * coeff_b * sign
+            old = terms.get(mono)
+            terms[mono] = coeff if old is None else old + coeff
+    return terms
 
 
 def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Supercommutative product, truncated in total p-degree."""
     f._check_compatible(g)
-    terms: dict[Monomial, Fraction] = {}
-    _add_product(terms, f, g)
-    return GradedSeries(f.registry, f.truncation, terms)
+    terms = _add_product({}, f._terms, g._terms, f.truncation)
+    return GradedSeries._of_slots(f.registry, f.truncation, terms)
 
 
-def _partial(f: GradedSeries, v: Variable, from_right: bool) -> GradedSeries:
-    terms: dict[Monomial, Fraction] = {}
-    for mono, coeff in f._terms.items():
-        for idx, (w, e) in enumerate(mono):
-            if w != v:
-                continue
-            sign = 1
-            if v.odd:
-                flank = mono[idx + 1:] if from_right else mono[:idx]
-                odd_count = sum(1 for u, _ in flank if u.odd)
-                if odd_count % 2 == 1:
-                    sign = -1
-            if e == 1:
-                new = mono[:idx] + mono[idx + 1:]
-            else:
-                new = mono[:idx] + ((w, e - 1),) + mono[idx + 1:]
-            terms[new] = terms.get(new, 0) + coeff * e * sign
-            break
-    return GradedSeries(f.registry, f.truncation, terms)
+def _partial(terms: SlotTerms, slot: int, from_right: bool) -> SlotTerms:
+    out: SlotTerms = {}
+    for mono, coeff in terms.items():
+        if slot not in mono:
+            continue
+        idx = mono.index(slot)
+        flank = mono[idx + 1:] if from_right else mono[:idx]
+        sign = -1 if slot & 1 and sum(s & 1 for s in flank) % 2 else 1
+        out[mono[:idx] + mono[idx + 1:]] = coeff * (mono.count(slot) * sign)
+    return out
 
 
 def partial(f: GradedSeries, v: Variable) -> GradedSeries:
     """Graded left derivative with respect to ``v``."""
-    return _partial(f, v, from_right=False)
+    slot = _slots(f.registry).slot(v)
+    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, False))
 
 
 def partial_right(f: GradedSeries, v: Variable) -> GradedSeries:
     """Graded right derivative with respect to ``v``."""
-    return _partial(f, v, from_right=True)
+    slot = _slots(f.registry).slot(v)
+    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, True))
 
 
-def _conjugate_pairs(*series: GradedSeries) -> list[tuple[Variable, Variable]]:
-    """All (p, q) same-iterate same-side pairs occurring in the given series."""
-    slots: dict[tuple, OrbitIterate] = {}
-    for s in series:
-        for v in s.variables():
-            slots[(v.iterate.orbit.name, v.iterate.k, v.side)] = v.iterate
-    pairs = []
-    for (name, k, side), iterate in sorted(slots.items()):
-        pairs.append((Variable(iterate, "p", side), Variable(iterate, "q", side)))
-    return pairs
+def _conjugate_pairs(*series: GradedSeries) -> list[tuple[int, int]]:
+    """The (p, q) slots of every iterate and side occurring in the given series."""
+    p_slots = sorted({s & ~_Q_BIT for f in series for mono in f._terms for s in mono})
+    return [(p, p | _Q_BIT) for p in p_slots]
 
 
-def _add_pairing(terms: dict[Monomial, Fraction], left: GradedSeries,
-                 right: GradedSeries, pairs: list[tuple[Variable, Variable]],
-                 sign: int = 1) -> None:
+def _add_pairing(terms: SlotTerms, left: GradedSeries, right: GradedSeries,
+                 pairs: list[tuple[int, int]], sign: int = 1) -> None:
     """Accumulate ``sign * sum_i kappa_i dR left/dp_i * dL right/dq_i`` into ``terms``.
 
     The kappa-weighted pairing shared by the Poisson bracket and the
     Hamilton-Jacobi right side (``potentials.hamilton_jacobi_rhs``).
     """
     for p, q in pairs:
-        _add_product(terms, partial_right(left, p), partial(right, q), sign * p.kappa)
+        _add_product(terms, _partial(left._terms, p, True), _partial(right._terms, q, False),
+                     left.truncation, sign * _kappa(p))
 
 
 def poisson_bracket(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Kappa-weighted graded Poisson bracket, extended bilinearly."""
     f._check_compatible(g)
     pairs = _conjugate_pairs(f, g)
-    terms: dict[Monomial, Fraction] = {}
+    terms: SlotTerms = {}
     for df, fh in f.by_degree().items():
         for dg, gh in g.by_degree().items():
             _add_pairing(terms, fh, gh, pairs)
             _add_pairing(terms, gh, fh, pairs, 1 if df * dg % 2 else -1)
-    return GradedSeries(f.registry, f.truncation, terms)
+    return GradedSeries._of_slots(f.registry, f.truncation, terms)
 
 
 def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
@@ -368,38 +426,42 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     Variables missing from ``assignment`` are left in place.  Images of a
     monomial's letters are multiplied in canonical monomial order, so the
     result is deterministic even for parity-breaking assignments (allowed
-    only with ``check_degrees=False``).
+    only with ``check_degrees=False``).  Each power ``image**e`` is
+    computed once per call.
     """
+    var = _slots(f.registry)
+    images: dict[int, SlotTerms] = {}
     for v, image in assignment.items():
         f._check_compatible(image)
         if check_degrees:
             for mono in image._terms:
-                if monomial_degree(mono) != v.degree:
+                if _degree(var, mono) != v.degree:
                     raise DegreeMismatch(
                         f"image of {v.render()} has a term of degree "
-                        f"{monomial_degree(mono)}, expected {v.degree}")
-        if guard_truncation and v.kind == "p":
-            for mono in image._terms:
-                if monomial_p_degree(mono) == 0:
-                    raise TruncationOverflow(
-                        f"image of {v.render()} has a p-degree-zero term; "
-                        f"truncated tails would leak below the cutoff")
-    out_terms: dict[Monomial, Fraction] = {}
+                        f"{_degree(var, mono)}, expected {v.degree}")
+        if guard_truncation and v.kind == "p" and any(
+                _p_degree(mono) == 0 for mono in image._terms):
+            raise TruncationOverflow(
+                f"image of {v.render()} has a p-degree-zero term; "
+                f"truncated tails would leak below the cutoff")
+        images[var.slot(v)] = image._terms
+    powers: dict[tuple[int, int], SlotTerms] = {}
+    out_terms: SlotTerms = {}
     for mono, coeff in f._terms.items():
-        acc = GradedSeries.constant(f.registry, f.truncation, coeff)
-        for v, e in mono:
-            image = assignment.get(v)
-            if image is None:
-                image = GradedSeries.of(f.registry, f.truncation, v)
-            for _ in range(e):
-                acc = multiply(acc, image)
-                if acc.is_zero():
-                    break
-            if acc.is_zero():
+        acc: SlotTerms = {(): coeff}
+        for slot, e in _runs(mono):
+            if (slot, e) not in powers:
+                power = base = images[slot] if slot in images else {(slot,): Fraction(1)}
+                for _ in range(e - 1):
+                    power = _add_product({}, power, base, f.truncation)
+                powers[slot, e] = power
+            acc = {m: c for m, c in _add_product({}, acc, powers[slot, e], f.truncation).items()
+                   if c}
+            if not acc:
                 break
-        for m, c in acc._terms.items():
+        for m, c in acc.items():
             out_terms[m] = out_terms.get(m, 0) + c
-    return GradedSeries(f.registry, f.truncation, out_terms)
+    return GradedSeries._of_slots(f.registry, f.truncation, out_terms)
 
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,

@@ -59,6 +59,7 @@ def _load_config(args) -> ConfigDocument:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {args.config!r} does not exist")
+    _require_at_least("--truncation", args.truncation, 0)
     doc = parse_config(path.read_text())
     if args.truncation:
         doc.truncation = args.truncation
@@ -202,6 +203,8 @@ def cmd_potential(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    _require_at_least("--order", args.order, 0)
+    _require_at_least("--max-k", args.max_k, 1)
     doc = _load_config(args)
     left = _build_potential(doc, args.left)
     right = _build_potential(doc, args.right)
@@ -210,7 +213,7 @@ def cmd_compose(args) -> int:
     for name in sorted(middle_names):
         orbit = doc.registry.get(name)
         top = orbit.max_iterate if orbit.elliptic else args.max_k
-        iterates.extend(orbit.iterate(k) for k in range(1, top + 1))
+        iterates.extend(it for it in map(orbit.iterate, range(1, top + 1)) if is_good(it))
     result = pt.compose_sharp(
         pt.reside_potential(left, middle_names, "p"),
         pt.reside_potential(right, middle_names, "q"),

@@ -73,6 +73,12 @@ class TruncationOverflow(LocalSFTError):
     code = "E_TRUNCATION"
 
 
+class InvalidTruncation(LocalSFTError, ValueError):
+    """A series truncation order below 1."""
+
+    code = "E_TRUNCATION_ORDER"
+
+
 class InadmissibleKey(LocalSFTError):
     """Count-table key fails multiplicity or parity admissibility."""
 

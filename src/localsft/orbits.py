@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrbit, IterateOutOfRange
+from .errors import BadOrbit, IterateOutOfRange, RegistryMismatch
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -191,12 +191,19 @@ class OrbitRegistry:
 
     def __init__(self, orbits: list[ReebOrbit] | None = None):
         self._orbits: dict[str, ReebOrbit] = {}
+        # variable slots of the series kernel (``algebra``), built on first use
+        self.slot_table = None
         for orbit in orbits or []:
             self.add(orbit)
 
     def add(self, orbit: ReebOrbit) -> ReebOrbit:
         if orbit.name in self._orbits:
             raise ValueError(f"duplicate orbit name {orbit.name!r}")
+        # slots encode the rank of the orbit name: only a new last name keeps them
+        if self.slot_table is not None and any(name > orbit.name for name in self._orbits):
+            raise RegistryMismatch(f"cannot add orbit {orbit.name!r} before orbits whose "
+                                   f"variables already have series slots")
+        self.slot_table = None
         self._orbits[orbit.name] = orbit
         return orbit
 

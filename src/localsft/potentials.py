@@ -22,10 +22,10 @@ from math import factorial
 from .algebra import (
     GradedSeries,
     Monomial,
+    SlotTerms,
     Variable,
     _add_pairing,
     _conjugate_pairs,
-    monomial_letters,
     multiply,
     partial,
     partial_right,
@@ -304,8 +304,8 @@ def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
 
 
 def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
-    terms = {m: c for m, c in series.terms() if monomial_letters(m) <= order}
-    return GradedSeries(series.registry, series.truncation, terms)
+    terms = {m: c for m, c in series._terms.items() if len(m) <= order}
+    return GradedSeries._of_slots(series.registry, series.truncation, terms)
 
 
 def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
@@ -444,10 +444,10 @@ def hamilton_jacobi_rhs(h_plus: Potential, h_minus: Potential,
     hp._check_compatible(k)
     hm._check_compatible(k)
     pairs = _conjugate_pairs(hp, hm, k)
-    terms: dict[Monomial, Fraction] = {}
+    terms: SlotTerms = {}
     _add_pairing(terms, hp, k, pairs)
     _add_pairing(terms, k, hm, pairs)
-    return GradedSeries(k.registry, k.truncation, terms)
+    return GradedSeries._of_slots(k.registry, k.truncation, terms)
 
 
 def lagrangian_restrict(g: GradedSeries, f_v: Potential) -> GradedSeries:

@@ -17,6 +17,7 @@ from localsft.algebra import (
     substitute,
 )
 from localsft.errors import BadOrbit, DegreeMismatch, RegistryMismatch, TruncationOverflow
+from localsft.errors import LocalSFTError
 from localsft.orbits import OrbitRegistry, ReebOrbit
 from localsft.potentials import Potential, hamilton_jacobi_rhs
 
@@ -349,3 +350,93 @@ def test_pairing_matches_slow_oracle(f, g, k):
     h_minus = Potential(g, q_side="plus", p_side="plus")
     assert hamilton_jacobi_rhs(h_plus, h_minus, k) == (
         _reference_pairing(f, k) + _reference_pairing(k, g))
+
+
+# -- slot kernel: substitution oracle, registry identity, registry growth ------
+
+def _reference_substitute(f, assignment):
+    """Images multiplied in letter by letter, using only ``multiply``."""
+    out = GradedSeries.zero(REG, TRUNC)
+    for mono, coeff in f.terms():
+        acc = const(coeff)
+        for v, e in mono:
+            for _ in range(e):
+                acc = multiply(acc, assignment.get(v, S(v)))
+        out = out + acc
+    return out
+
+
+def _powers_series(spec):
+    """Terms with exponents 1 or 2; squares of odd letters vanish."""
+    out = GradedSeries.zero(REG, TRUNC)
+    for num, den, letters in spec:
+        term = const(Fraction(num, den))
+        for i, e in letters:
+            for _ in range(e):
+                term = multiply(term, S(SIDED_VARS[i]))
+        out = out + term
+    return out
+
+
+powers_strategy = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 3),
+              st.lists(st.tuples(st.integers(0, len(SIDED_VARS) - 1), st.sampled_from((1, 2))),
+                       max_size=3)),
+    max_size=5).map(_powers_series)
+
+
+@settings(max_examples=150, deadline=None)
+@given(powers_strategy,
+       st.dictionaries(st.integers(0, len(SIDED_VARS) - 1), series_strategy, max_size=3))
+def test_substitute_matches_letter_by_letter_oracle(f, images):
+    # images of any parity (odd ones included); unassigned letters stay put
+    assignment = {SIDED_VARS[i]: image for i, image in images.items()}
+    assert substitute(f, assignment, check_degrees=False) == _reference_substitute(f, assignment)
+
+
+def _twin(series, registry):
+    """The same series rebuilt over another registry from its public terms."""
+    def move(v):
+        return Variable(registry.get(v.iterate.orbit.name).iterate(v.iterate.k), v.kind, v.side)
+    return GradedSeries(registry, TRUNC, {tuple((move(v), e) for v, e in mono): coeff
+                                          for mono, coeff in series.terms()})
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_strategy, series_strategy)
+def test_equal_but_distinct_registries_agree(f, g):
+    other = make_registry()
+    assert other == REG and other is not REG
+    f2 = _twin(f, other)
+    assert f2 == f and f2.render() == f.render()
+    assert f2 + g == f + g
+    assert multiply(f2, g) == multiply(f, g) == multiply(f2, _twin(g, other))
+    assert poisson_bracket(f2, g) == poisson_bracket(f, g)
+    assert multiply(f2, g).render() == multiply(f, g).render()
+
+
+def test_adding_an_orbit_after_series_exist_keeps_their_order():
+    reg = make_registry()
+    qb = GradedSeries.of(reg, TRUNC, Variable(reg.get("b").iterate(1), "q"))
+    pc = GradedSeries.of(reg, TRUNC, Variable(reg.get("c").iterate(1), "p"))
+    f = multiply(pc, qb)
+    assert f.render() == "-q~[b]*p~[c]"
+    first = ReebOrbit("A", "hyperbolic", cz1=2)   # sorts before every name in use
+    try:
+        reg.add(first)
+    except LocalSFTError:
+        assert "A" not in reg
+    else:
+        pa = GradedSeries.of(reg, TRUNC, Variable(first.iterate(1), "p"))
+        assert multiply(f, pa).render() == "-p~[A]*q~[b]*p~[c]"
+    assert f.render() == "-q~[b]*p~[c]"
+    last = reg.add(ReebOrbit("z", "hyperbolic", cz1=2))
+    qz = GradedSeries.of(reg, TRUNC, Variable(last.iterate(1), "q"))
+    assert multiply(qz, f).render() == "-q~[b]*p~[c]*q~[z]"
+    assert f.render() == "-q~[b]*p~[c]"
+
+
+def test_nonpositive_truncation_is_a_library_error():
+    with pytest.raises(LocalSFTError) as err:
+        GradedSeries.zero(REG, 0)
+    assert isinstance(err.value, ValueError)

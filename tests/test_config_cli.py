@@ -241,3 +241,27 @@ def test_invalid_arguments_give_one_error_line(argv):
     code, _, err = run_cli(*argv)
     assert code in (1, 2)
     assert re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err
+
+
+def test_compose_over_odd_hyperbolic_orbit_skips_bad_iterates():
+    # zeta has odd cz1, so its even iterates are bad and carry no variables
+    args = ("--config", str(EXAMPLE), "compose", "F_vminus", "F_vminus", "--middle", "zeta")
+    code, out, err = run_cli(*args)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(*args, "--max-k", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--truncation", "-1", "potential", "F_vminus"),
+    ("compose", "F_vminus", "F_vminus", "--middle", "gamma", "--order", "-1"),
+    ("compose", "F_vminus", "F_vminus", "--middle", "gamma", "--max-k", "0"),
+])
+def test_negative_numeric_arguments_are_parse_errors(argv):
+    code, out, err = run_cli("--config", str(EXAMPLE), *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error E_PARSE: [^\n]+\n", err), err
+
+
+def test_zero_truncation_keeps_the_config_value():
+    assert run_cli("--config", str(EXAMPLE), "--truncation", "0", "potential", "F_vminus") \
+        == run_cli("--config", str(EXAMPLE), "potential", "F_vminus")
