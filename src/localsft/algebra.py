@@ -42,6 +42,7 @@ from itertools import groupby
 from .errors import (
     DegreeMismatch,
     InvalidTruncation,
+    InvalidVariable,
     IterateOutOfRange,
     RegistryMismatch,
     TruncationOverflow,
@@ -62,9 +63,9 @@ class Variable:
 
     def __post_init__(self):
         if self.kind not in ("p", "q"):
-            raise ValueError(f"variable kind must be 'p' or 'q', got {self.kind!r}")
+            raise InvalidVariable(f"variable kind must be 'p' or 'q', got {self.kind!r}")
         if self.side not in SIDES:
-            raise ValueError(f"variable side must be one of {SIDES}, got {self.side!r}")
+            raise InvalidVariable(f"variable side must be one of {SIDES}, got {self.side!r}")
         # BadOrbit is raised here for bad iterates: the variable does not exist.
         object.__setattr__(self, "_degree", variable_degree(self.iterate, self.kind))
 
@@ -171,6 +172,18 @@ def _koszul(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return sign
 
 
+def _canonical(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sorted letters with the Koszul sign of sorting them; 0 when an odd one repeats."""
+    if len(letters) < 2:
+        return letters, 1
+    sign, odd = 1, ()
+    for s in letters:
+        if s & 1:
+            sign *= _koszul(odd, (s,))
+            odd += (s,)
+    return tuple(sorted(letters)), sign
+
+
 def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
     """Product of two canonical monomials with its Koszul sign.
 
@@ -198,7 +211,9 @@ class GradedSeries:
     """A finitely supported series over a shared orbit registry.
 
     Treated as immutable: all operations return fresh instances.  ``_terms``
-    maps slot monomials to nonzero coefficients.
+    maps slot monomials to nonzero coefficients.  The constructor and
+    ``coefficient`` take the letters of a monomial in any order and sort them
+    with the Koszul sign; a monomial repeating an odd letter is zero.
     """
 
     __slots__ = ("registry", "truncation", "_terms")
@@ -211,10 +226,13 @@ class GradedSeries:
         self.truncation = truncation
         clean: SlotTerms = {}
         for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            letters = _slots(registry).letters(mono)
-            if coeff != 0 and _p_degree(letters) <= truncation:
-                clean[letters] = coeff
+            letters, sign = _canonical(_slots(registry).letters(mono))
+            if sign and _p_degree(letters) <= truncation:
+                coeff = Fraction(coeff) if sign > 0 else -Fraction(coeff)
+                if letters in clean:
+                    coeff += clean.pop(letters)
+                if coeff:
+                    clean[letters] = coeff
         self._terms = clean
 
     @classmethod
@@ -249,7 +267,8 @@ class GradedSeries:
         return [(tuple((var[s], e) for s, e in runs), c) for _, runs, c in ordered]
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(_slots(self.registry).letters(mono), Fraction(0))
+        letters, sign = _canonical(_slots(self.registry).letters(mono))
+        return sign * self._terms.get(letters, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self._terms

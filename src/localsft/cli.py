@@ -367,7 +367,9 @@ def cmd_check(args) -> int:
         ]
         for d, profiles, b, want in frozen:
             got = cv.hurwitz_count(d, profiles, b)
-            assert got == want, f"d={d} {profiles} b={b}: {got} != {want}"
+            oracle = cv._hurwitz_by_enumeration(d, profiles, b)
+            assert got == oracle == want, (
+                f"d={d} {profiles} b={b}: formula {got}, enumeration {oracle}, frozen {want}")
         return f"{len(frozen)} frozen values"
 
     run("hurwitz-oracle", check_hurwitz)
@@ -417,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-codim", type=int, default=2)
     p.set_defaults(fn=cmd_strata)
 
-    p = sub.add_parser("hurwitz", parents=[common], help="symmetric-group cover-counting oracle")
+    p = sub.add_parser("hurwitz", parents=[common], help="connected Hurwitz counts by the Frobenius character "
+                       f"formula, degree at most {cv.HURWITZ_DEGREE_BOUND}")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--profile", action="append",
                    help="comma-separated partition, repeatable")

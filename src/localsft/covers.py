@@ -2,8 +2,9 @@
 
 Everything here is genus-zero: Riemann-Hurwitz ramification counts,
 Fredholm indices, unperturbed moduli dimensions, obstruction-bundle ranks,
-normal Chern numbers, two-level boundary stratification, and a
-symmetric-group Hurwitz-counting oracle for cross checks.
+normal Chern numbers, two-level boundary stratification, and Hurwitz
+counts by the Frobenius character formula, with a symmetric-group
+enumerator kept as their oracle.
 
 Dimension conventions.  ``tangency_dimension`` reports the unperturbed
 count ``ind(base) + 2Z`` minus 2 per constrained branch point and records
@@ -19,12 +20,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, prod
 
 from .errors import (
     DegreeTooLarge,
     HypothesesViolated,
     InconsistentProfile,
+    InvalidCover,
     IterateOutOfRange,
     NotImmersed,
     OddChern,
@@ -37,7 +39,7 @@ from .orbits import (
     cz_iterate,
 )
 
-HURWITZ_DEGREE_BOUND = 6
+HURWITZ_DEGREE_BOUND = 12
 
 TOP_CYLINDER = "top-cylinder"
 MIDDLE = "middle"
@@ -58,7 +60,7 @@ class BaseCurve:
 
     def __post_init__(self):
         if self.closed and (len(self.positive_ends) or len(self.negative_ends)):
-            raise ValueError(f"curve {self.name}: closed curves have no ends")
+            raise InvalidCover(f"curve {self.name}: closed curves have no ends")
 
     @property
     def punctures(self) -> int:
@@ -108,11 +110,11 @@ class CoverSpec:
 
     def __post_init__(self):
         if self.degree < 1:
-            raise ValueError("cover degree must be positive")
+            raise InvalidCover("cover degree must be positive")
         if self.marked_points < 0 or self.constrained_branch_points < 0:
-            raise ValueError("marked point counts must be nonnegative")
+            raise InvalidCover("marked point counts must be nonnegative")
         if self.constrained_branch_points > self.marked_points:
-            raise ValueError("constrained branch points exceed marked points")
+            raise InvalidCover("constrained branch points exceed marked points")
 
     @property
     def punctures(self) -> int:
@@ -634,8 +636,182 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz oracle
+# Hurwitz counts
 # ---------------------------------------------------------------------------
+
+
+def _check_hurwitz_input(d: int, end_profiles: list[tuple[int, ...]],
+                         simple_branch_points: int, bound: int) -> None:
+    if d > bound:
+        raise DegreeTooLarge(f"degree {d} exceeds the degree bound {bound}")
+    if d < 1:
+        raise InconsistentProfile(f"degree must be positive, got {d}")
+    if simple_branch_points < 0:
+        raise InconsistentProfile(
+            f"number of simple branch points must be non-negative, got {simple_branch_points}")
+    for profile in end_profiles:
+        if sum(profile) != d or min(profile) < 1:
+            raise InconsistentProfile(f"profile {profile} is not a partition of {d}")
+
+
+def _class_size(mu: tuple[int, ...]) -> int:
+    """|C_mu| = d! / z_mu for a partition mu of d."""
+    z = 1
+    for part in set(mu):
+        m = mu.count(part)
+        z *= part ** m * factorial(m)
+    return factorial(sum(mu)) // z
+
+
+def _splits(mu: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each sub-multiset nu of mu with |nu| = s, paired with its complement."""
+    parts = sorted(set(mu), reverse=True)
+    out = []
+    for takes in itertools.product(*(range(mu.count(p) + 1) for p in parts)):
+        if sum(t * p for t, p in zip(takes, parts)) == s:
+            nu = tuple(p for t, p in zip(takes, parts) for _ in range(t))
+            rho = tuple(p for t, p in zip(takes, parts) for _ in range(mu.count(p) - t))
+            out.append((nu, rho))
+    return out
+
+
+def _moving(mus) -> tuple[tuple[int, ...], ...]:
+    """Canonical key of a list of cycle types: identities dropped, sorted.
+
+    Tuple counts do not depend on the order of the factors, and an identity
+    factor changes neither the product nor the orbits.
+    """
+    return tuple(sorted(mu for mu in mus if mu[0] > 1))
+
+
+def _ramification(d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
+    return sum(d - len(mu) for mu in mus) + b
+
+
+def _beta_set(lam: tuple[int, ...]) -> frozenset[int]:
+    """Bead positions lambda_i + len(lambda) - i of a partition."""
+    return frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam))
+
+
+class _FrobeniusCounts:
+    """Tuple counts of one ``hurwitz_count`` call, memoised for that call only.
+
+    ``disconnected(d, mus, b)`` counts tuples in S_d, one permutation of each
+    cycle type in ``mus`` and ``b`` transpositions, whose product is the
+    identity.  By the Frobenius formula it is
+    ``sum_lambda (dim lambda)^2 prod f_lambda(mu) / d!`` over the central
+    characters ``f_lambda(mu) = |C_mu| chi_lambda(mu) / dim lambda``.
+    ``connected`` keeps the tuples acting transitively.
+    """
+
+    def __init__(self):
+        self._chars: dict = {}
+        self._central: dict = {}
+        self._disconnected: dict = {}
+        self._connected: dict = {}
+        self._partitions: dict = {}
+        self._splits: dict = {}
+
+    def character(self, beta: frozenset[int], mu: tuple[int, ...]) -> int:
+        """chi_lambda(mu) by Murnaghan-Nakayama on the beta-set of lambda.
+
+        Removing a rim hook of length r moves a bead from b to a free b - r;
+        its sign is the parity of the beads strictly between.
+        """
+        if not mu:
+            return 1
+        key = (beta, mu)
+        if key not in self._chars:
+            r, rest = mu[0], mu[1:]
+            total = 0
+            for b in beta:
+                if b >= r and b - r not in beta:
+                    between = sum(1 for c in beta if b - r < c < b)
+                    total += (-1) ** between * self.character(beta - {b} | {b - r}, rest)
+            self._chars[key] = total
+        return self._chars[key]
+
+    def partitions(self, d: int) -> list[tuple[int, ...]]:
+        if d not in self._partitions:
+            self._partitions[d] = _partitions(d)
+        return self._partitions[d]
+
+    def splits(self, mu: tuple[int, ...], s: int) -> list:
+        if (mu, s) not in self._splits:
+            self._splits[mu, s] = _splits(mu, s)
+        return self._splits[mu, s]
+
+    def dim(self, lam: tuple[int, ...]) -> int:
+        return self.character(_beta_set(lam), (1,) * sum(lam))
+
+    def central(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+        key = (lam, mu)
+        if key not in self._central:
+            chi = self.character(_beta_set(lam), mu)
+            self._central[key] = _class_size(mu) * chi // self.dim(lam)
+        return self._central[key]
+
+    def disconnected(self, d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
+        if (b and d < 2) or _ramification(d, mus, b) % 2:
+            return 0
+        key = (d, mus, b)
+        if key not in self._disconnected:
+            total = 0
+            for lam in self.partitions(d):
+                term = self.dim(lam) ** 2 * prod(self.central(lam, mu) for mu in mus)
+                if b:
+                    term *= self.central(lam, (2,) + (1,) * (d - 2)) ** b
+                total += term
+            self._disconnected[key] = total // factorial(d)
+        return self._disconnected[key]
+
+    def connected(self, d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
+        """Transitive tuples: all tuples minus those where sheet 0 sees s < d sheets.
+
+        The orbit of sheet 0 is one of C(d-1, s-1) sets; each permutation
+        splits into cycles on it (type nu) and off it (type rho), and each
+        transposition lies on it or off it, C(b, j) choices of which j do.
+        A transitive tuple has even ramification of at least 2d - 2
+        (Riemann-Hurwitz, genus >= 0).
+        """
+        ramification = _ramification(d, mus, b)
+        if ramification % 2 or ramification < 2 * d - 2:
+            return 0
+        key = (d, mus, b)
+        if key not in self._connected:
+            total = self.disconnected(d, mus, b)
+            for s in range(1, d):
+                for split in itertools.product(*(self.splits(mu, s) for mu in mus)):
+                    nu = _moving(n for n, _ in split)
+                    rho = _moving(r for _, r in split)
+                    for j in range(b + 1):
+                        inner = self.connected(s, nu, j)
+                        if inner:
+                            total -= (comb(d - 1, s - 1) * comb(b, j) * inner
+                                      * self.disconnected(d - s, rho, b - j))
+            self._connected[key] = total
+        return self._connected[key]
+
+
+def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
+                  simple_branch_points: int = 0) -> Fraction:
+    """Connected Hurwitz count with labeled branch points.
+
+    Counts tuples of permutations in S_d, one of each requested cycle type
+    plus one transposition per simple branch point, with identity product
+    and transitive joint action, weighted by 1/d!.  Computed exactly by the
+    Frobenius character formula and inclusion-exclusion over the orbit of
+    one sheet, for d up to ``HURWITZ_DEGREE_BOUND``.
+    """
+    _check_hurwitz_input(d, end_profiles, simple_branch_points, HURWITZ_DEGREE_BOUND)
+    mus = _moving(tuple(sorted(p, reverse=True)) for p in end_profiles)
+    return Fraction(_FrobeniusCounts().connected(d, mus, simple_branch_points), factorial(d))
+
+
+# The symmetric-group enumerator below is the independent oracle that
+# ``localsft check`` and the tests compare ``hurwitz_count`` with.
+
+ENUMERATION_DEGREE_BOUND = 6
 
 
 def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -687,25 +863,10 @@ def _is_transitive(perms: list[tuple[int, ...]], d: int) -> bool:
     return len(reached) == d
 
 
-def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
-                  simple_branch_points: int = 0) -> Fraction:
-    """Connected Hurwitz count with labeled branch points.
-
-    Counts tuples of permutations in S_d, one of each requested cycle type
-    plus one transposition per simple branch point, with identity product
-    and transitive joint action, weighted by 1/d!.
-    """
-    if d > HURWITZ_DEGREE_BOUND:
-        raise DegreeTooLarge(f"degree {d} exceeds the enumeration bound "
-                             f"{HURWITZ_DEGREE_BOUND}")
-    if d < 1:
-        raise InconsistentProfile(f"degree must be positive, got {d}")
-    if simple_branch_points < 0:
-        raise InconsistentProfile(
-            f"number of simple branch points must be non-negative, got {simple_branch_points}")
-    for profile in end_profiles:
-        if sum(profile) != d or min(profile) < 1:
-            raise InconsistentProfile(f"profile {profile} is not a partition of {d}")
+def _hurwitz_by_enumeration(d: int, end_profiles: list[tuple[int, ...]],
+                            simple_branch_points: int = 0) -> Fraction:
+    """``hurwitz_count`` by enumerating permutation tuples in S_d, for d <= 6."""
+    _check_hurwitz_input(d, end_profiles, simple_branch_points, ENUMERATION_DEGREE_BOUND)
     identity = tuple(range(d))
     transpositions = permutations_of_type(d, (2,) + (1,) * (d - 2)) if d >= 2 else []
     if simple_branch_points and d < 2:

@@ -50,7 +50,7 @@ class OddChern(LocalSFTError):
 
 
 class DegreeTooLarge(LocalSFTError):
-    """Hurwitz enumeration requested above the supported degree bound."""
+    """Hurwitz count requested above the supported degree bound."""
 
     code = "E_DEGREE_BOUND"
 
@@ -77,6 +77,24 @@ class InvalidTruncation(LocalSFTError, ValueError):
     """A series truncation order below 1."""
 
     code = "E_TRUNCATION_ORDER"
+
+
+class InvalidOrbit(LocalSFTError, ValueError):
+    """Reeb orbit or orbit iterate data out of its domain."""
+
+    code = "E_ORBIT"
+
+
+class InvalidVariable(LocalSFTError, ValueError):
+    """A series variable with an unknown kind or side."""
+
+    code = "E_VARIABLE"
+
+
+class InvalidCover(LocalSFTError, ValueError):
+    """Base curve or cover data out of its domain."""
+
+    code = "E_COVER"
 
 
 class InadmissibleKey(LocalSFTError):

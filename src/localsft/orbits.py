@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrbit, IterateOutOfRange, RegistryMismatch
+from .errors import BadOrbit, InvalidOrbit, IterateOutOfRange, RegistryMismatch
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -35,30 +35,30 @@ class ReebOrbit:
 
     def __post_init__(self):
         if self.kind not in (ELLIPTIC, HYPERBOLIC):
-            raise ValueError(f"unknown orbit kind {self.kind!r}")
+            raise InvalidOrbit(f"unknown orbit kind {self.kind!r}")
         if self.kind == ELLIPTIC:
             if self.theta is None or self.max_iterate is None:
-                raise ValueError(f"orbit {self.name}: elliptic needs theta and max_iterate")
+                raise InvalidOrbit(f"orbit {self.name}: elliptic needs theta and max_iterate")
             if self.cz1 is not None:
-                raise ValueError(f"orbit {self.name}: cz1 is hyperbolic-only data")
+                raise InvalidOrbit(f"orbit {self.name}: cz1 is hyperbolic-only data")
             theta = Fraction(self.theta)
             object.__setattr__(self, "theta", theta)
             if theta <= 0:
-                raise ValueError(f"orbit {self.name}: rotation number must be positive")
+                raise InvalidOrbit(f"orbit {self.name}: rotation number must be positive")
             if self.max_iterate < 1:
-                raise ValueError(f"orbit {self.name}: max_iterate must be at least 1")
+                raise InvalidOrbit(f"orbit {self.name}: max_iterate must be at least 1")
             # denominator > max_iterate keeps k*theta off the integers for all
             # admissible k, so floor(k*theta) is unambiguous and CZ stays odd.
             if theta.denominator <= self.max_iterate:
-                raise ValueError(
+                raise InvalidOrbit(
                     f"orbit {self.name}: theta denominator {theta.denominator} "
                     f"must exceed max_iterate {self.max_iterate}"
                 )
         else:
             if self.cz1 is None:
-                raise ValueError(f"orbit {self.name}: hyperbolic needs cz1")
+                raise InvalidOrbit(f"orbit {self.name}: hyperbolic needs cz1")
             if self.theta is not None:
-                raise ValueError(f"orbit {self.name}: theta is elliptic-only data")
+                raise InvalidOrbit(f"orbit {self.name}: theta is elliptic-only data")
 
     @property
     def elliptic(self) -> bool:
@@ -81,7 +81,7 @@ class OrbitIterate:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"iterate multiplicity must be positive, got {self.k}")
+            raise InvalidOrbit(f"iterate multiplicity must be positive, got {self.k}")
         if self.orbit.elliptic and self.k > self.orbit.max_iterate:
             raise IterateOutOfRange(
                 f"{self.orbit.name}^{self.k}: beyond declared bound "

@@ -328,17 +328,14 @@ def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
     zero = GradedSeries.zero(registry, truncation)
     q_sol = {v: zero for v in q_vars}
     p_sol = {v: zero for v in p_vars}
+    # p~ = kappa dF+/dq~ and q~ = kappa dR F-/dp~, each solved by substitution
+    p_rhs = {p: partial(f_plus, q).scale(p.kappa) for p, q in zip(p_vars, q_vars)}
+    q_rhs = {q: partial_right(f_minus, p).scale(q.kappa) for p, q in zip(p_vars, q_vars)}
     for _ in range(order + 2):
-        new_p = {}
-        for v in p_vars:
-            rhs = partial(f_plus, Variable(v.iterate, "q", "middle")).scale(v.kappa)
-            rhs = substitute(rhs, q_sol, check_degrees=False)
-            new_p[v] = _external_truncate(rhs, order)
-        new_q = {}
-        for v in q_vars:
-            rhs = partial_right(f_minus, Variable(v.iterate, "p", "middle")).scale(v.kappa)
-            rhs = substitute(rhs, p_sol, check_degrees=False)
-            new_q[v] = _external_truncate(rhs, order)
+        new_p = {v: _external_truncate(substitute(rhs, q_sol, check_degrees=False), order)
+                 for v, rhs in p_rhs.items()}
+        new_q = {v: _external_truncate(substitute(rhs, p_sol, check_degrees=False), order)
+                 for v, rhs in q_rhs.items()}
         if new_p == p_sol and new_q == q_sol:
             return q_sol, p_sol
         q_sol, p_sol = new_q, new_p

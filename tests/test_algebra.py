@@ -440,3 +440,22 @@ def test_nonpositive_truncation_is_a_library_error():
     with pytest.raises(LocalSFTError) as err:
         GradedSeries.zero(REG, 0)
     assert isinstance(err.value, ValueError)
+
+
+def test_constructor_sorts_even_letters():
+    f = GradedSeries(REG, TRUNC, {((QA2, 1), (QA, 1)): 3})
+    assert f == multiply(S(QA), S(QA2)).scale(3)
+    assert f.render() == "3*q~[a]*q~[a^2]"
+    assert f.coefficient(((QA2, 1), (QA, 1))) == f.coefficient(((QA, 1), (QA2, 1))) == 3
+
+
+def test_constructor_sorts_odd_letters_with_their_sign():
+    f = GradedSeries(REG, TRUNC, {((QC, 1), (QB, 1)): 2})
+    assert f == multiply(S(QC), S(QB)).scale(2) == multiply(S(QB), S(QC)).scale(-2)
+    assert f.coefficient(((QB, 1), (QC, 1))) == -2
+    assert f.coefficient(((QC, 1), (QB, 1))) == 2
+    both_orders = GradedSeries(REG, TRUNC, {((QC, 1), (QB, 1)): 1, ((QB, 1), (QC, 1)): 1})
+    assert both_orders.is_zero()
+    assert GradedSeries(REG, TRUNC, {((QB, 1), (QA, 1), (QB, 1)): 1}).is_zero()
+    assert GradedSeries(REG, TRUNC, {((QB, 2),): 1}).is_zero()
+    assert f.coefficient(((QB, 1), (QB, 1))) == 0

@@ -6,9 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsft.cli import main
 from localsft.config import parse_config, render_config
+from localsft.covers import HURWITZ_DEGREE_BOUND
 from localsft.errors import ConfigError
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "src" / "localsft" / "data" / "example.cfg"
@@ -265,3 +268,96 @@ def test_negative_numeric_arguments_are_parse_errors(argv):
 def test_zero_truncation_keeps_the_config_value():
     assert run_cli("--config", str(EXAMPLE), "--truncation", "0", "potential", "F_vminus") \
         == run_cli("--config", str(EXAMPLE), "potential", "F_vminus")
+
+
+def test_check_compares_hurwitz_formula_with_enumeration(monkeypatch):
+    from localsft import covers
+    enumerate_ = covers._hurwitz_by_enumeration
+    calls = []
+
+    def spy(d, profiles, b):
+        calls.append((d, b))
+        return enumerate_(d, profiles, b)
+
+    monkeypatch.setattr(covers, "_hurwitz_by_enumeration", spy)
+    code, out, _ = run_cli("--config", str(EXAMPLE), "check")
+    assert code == 0
+    assert re.search(r"^hurwitz-oracle +pass +4 frozen values$", out, re.MULTILINE)
+    assert len(calls) == 4
+    monkeypatch.setattr(covers, "_hurwitz_by_enumeration",
+                        lambda d, profiles, b: enumerate_(d, profiles, b) + 1)
+    code, out, _ = run_cli("--config", str(EXAMPLE), "check")
+    assert code == 1
+    assert re.search(r"^hurwitz-oracle +FAIL +.*enumeration", out, re.MULTILINE)
+
+
+@pytest.mark.parametrize("d", [7, 12])
+def test_hurwitz_beyond_the_enumeration_degrees(d):
+    code, out, err = run_cli("hurwitz", "--degree", str(d), "--profile", str(d),
+                             "--branch-points", str(d - 1), "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == f"degree={d}\tprofiles={d}\tbranch_points={d - 1}\tcount={d ** (d - 3)}\n"
+
+
+def test_iterate_zero_in_a_collection_is_a_parse_error():
+    with pytest.raises(ConfigError, match="iterate multiplicity must be positive"):
+        parse_config("orbit h hyperbolic cz1=2\ncurve c index=0 pos=(h^0)\n")
+
+
+_NAMES = st.sampled_from(["v", "vminus", "cyl_pair", "sphere_double", "plane_double",
+                          "H_gamma", "F_vminus", "stretch", "stretch_hyp", "gamma",
+                          "zeta", "eta", "nope", ""])
+_SMALL = st.integers(-2, 5).map(str)
+_PROFILE = st.one_of(
+    st.lists(st.integers(-1, 13), min_size=1, max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,-x ", max_size=8),
+)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def _hurwitz_argv():
+    degree = st.integers(-1, HURWITZ_DEGREE_BOUND + 1)
+    return st.builds(
+        lambda d, profiles, b: ["hurwitz", "--degree", str(d), "--branch-points", str(b),
+                                *[x for p in profiles for x in ("--profile", p)]],
+        degree, st.lists(_PROFILE, max_size=3), st.integers(-1, 3))
+
+
+def _config_argv():
+    return st.one_of(
+        st.builds(lambda names, k: ["cz", *names, *k], st.lists(_NAMES, max_size=2),
+                  _flag("--max-k", _SMALL)),
+        st.sampled_from([["index"], ["moduli"], ["check"]]),
+        st.builds(lambda c, codim, neck: ["strata", c, *codim, *neck], _NAMES,
+                  _flag("--max-codim", _SMALL), _flag("--neck", _NAMES)),
+        st.builds(lambda cmd, name: [cmd, name],
+                  st.sampled_from(["hamiltonian", "potential", "exceptional", "neckstretch"]),
+                  _NAMES),
+        st.builds(lambda a, b, middle, order, k: ["compose", a, b, "--middle", ",".join(middle),
+                                                  *order, *k],
+                  _NAMES, _NAMES, st.lists(_NAMES, min_size=1, max_size=2),
+                  _flag("--order", _SMALL), _flag("--max-k", _SMALL)),
+    ).map(lambda argv: ["--config", str(EXAMPLE), *argv])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_hurwitz_argv(), _config_argv()),
+       _flag("--format", st.sampled_from(["table", "records", "json"])),
+       _flag("--truncation", _SMALL))
+def test_generated_argv_exit_codes_and_one_error_line(argv, fmt, truncation):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([*argv, *fmt, *truncation])
+        except SystemExit as exc:    # argparse rejects the argv with its usage text
+            code = exc.code
+            assert code == 2 and err.getvalue().startswith("usage: ")
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert len(re.findall(r"^error E_[A-Z_]+: ", err, re.MULTILINE)) <= 1
+    if err and not err.startswith("usage: "):
+        assert re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err

@@ -7,11 +7,14 @@ the opposite composition convention, and tests transitivity by union-find.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localsft.covers import HURWITZ_DEGREE_BOUND, hurwitz_count
+from localsft.covers import ENUMERATION_DEGREE_BOUND, _hurwitz_by_enumeration
 from localsft.errors import DegreeTooLarge, InconsistentProfile
 
 
@@ -126,3 +129,43 @@ def test_oracle_matches_for_other_profile_counts():
     ]
     for d, profiles, b in cases:
         assert hurwitz_count(d, profiles, b) == brute_monodromy_count(d, profiles, b)
+
+
+def _class_size(d, partition):
+    z = 1
+    for part in set(partition):
+        m = partition.count(part)
+        z *= part ** m * factorial(m)
+    return factorial(d) // z
+
+
+@st.composite
+def _small_hurwitz_inputs(draw, budget=3000):
+    """(d, profiles, b) with d <= 5, 1-3 profiles and b <= 3, cheap to enumerate.
+
+    The enumerator visits the product of all class sizes but the last, so
+    b is capped where that product would pass ``budget``.
+    """
+    d = draw(st.integers(1, 5))
+    profiles = draw(st.lists(st.sampled_from(partitions(d)), min_size=1, max_size=3))
+    sizes = [_class_size(d, p) for p in profiles]
+    b_max = 0
+    while b_max < 3 and d >= 2 and prod(sizes + [d * (d - 1) // 2] * b_max) <= budget:
+        b_max += 1
+    return d, profiles, draw(st.integers(0, b_max))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_small_hurwitz_inputs())
+def test_character_formula_matches_enumeration(case):
+    d, profiles, b = case
+    assert hurwitz_count(d, profiles, b) == _hurwitz_by_enumeration(d, profiles, b)
+
+
+@pytest.mark.parametrize("d", range(7, 11))
+def test_closed_forms_beyond_enumeration(d):
+    # polynomial covers (Hurwitz / Cayley) and all-simple genus-zero covers
+    assert d > ENUMERATION_DEGREE_BOUND
+    assert hurwitz_count(d, [(d,)], d - 1) == d ** (d - 3)
+    assert hurwitz_count(d, [], 2 * d - 2) == Fraction(
+        factorial(2 * d - 2) * d ** (d - 3), factorial(d))

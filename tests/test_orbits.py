@@ -5,7 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localsft.algebra import Variable
+from localsft.covers import BaseCurve, CoverSpec
 from localsft.errors import BadOrbit, IterateOutOfRange
+from localsft.errors import InvalidCover, InvalidOrbit, InvalidVariable, LocalSFTError
 from localsft.orbits import (
     OrbitCollection,
     ReebOrbit,
@@ -159,3 +162,26 @@ def test_pq_degree_parity_matches_index(orbit, k):
     deg_q = variable_degree(iterate, "q")
     deg_p = variable_degree(iterate, "p")
     assert deg_q % 2 == deg_p % 2 == (cz + 1) % 2
+
+
+_H = ReebOrbit("h", "hyperbolic", cz1=2)
+_PLANE = BaseCurve("u", positive_ends=OrbitCollection((_H.iterate(1),)))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ReebOrbit("x", "parabolic"), InvalidOrbit),
+    (lambda: ReebOrbit("x", "hyperbolic"), InvalidOrbit),
+    (lambda: elliptic(Fraction(1, 3), max_iterate=4), InvalidOrbit),
+    (lambda: _H.iterate(0), InvalidOrbit),
+    (lambda: Variable(_H.iterate(1), "r"), InvalidVariable),
+    (lambda: Variable(_H.iterate(1), "q", "left"), InvalidVariable),
+    (lambda: BaseCurve("c", positive_ends=_PLANE.positive_ends, closed=True), InvalidCover),
+    (lambda: CoverSpec(_PLANE, 0), InvalidCover),
+    (lambda: CoverSpec(_PLANE, 1, marked_points=-1), InvalidCover),
+    (lambda: CoverSpec(_PLANE, 1, marked_points=1, constrained_branch_points=2), InvalidCover),
+])
+def test_constructor_errors_are_library_value_errors(build, error):
+    with pytest.raises(error) as err:
+        build()
+    assert isinstance(err.value, LocalSFTError)
+    assert isinstance(err.value, ValueError)
