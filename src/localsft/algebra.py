@@ -44,6 +44,7 @@ from .errors import (
     InvalidTruncation,
     InvalidVariable,
     IterateOutOfRange,
+    NotHomogeneous,
     RegistryMismatch,
     TruncationOverflow,
 )
@@ -284,7 +285,7 @@ class GradedSeries:
         if not degs:
             return None
         if len(degs) > 1:
-            raise ValueError("series is not homogeneous")
+            raise NotHomogeneous("series is not homogeneous")
         return next(iter(degs))
 
     def by_degree(self) -> dict[int, "GradedSeries"]:

@@ -221,11 +221,11 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
         )
     except ConfigError:
         raise
-    except (ValueError, LocalSFTError) as exc:
+    except LocalSFTError as exc:
         raise ConfigError(str(exc), lineno)
     try:
         doc.registry.add(orbit)
-    except ValueError as exc:
+    except LocalSFTError as exc:
         raise ConfigError(str(exc), lineno)
 
 
@@ -243,7 +243,7 @@ def _parse_curve(doc: ConfigDocument, tokens, lineno, content):
     _reject_unknown_keys(kv, "curve", lineno)
     try:
         doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
-    except (ValueError, LocalSFTError) as exc:
+    except LocalSFTError as exc:
         raise ConfigError(str(exc), lineno)
 
 
@@ -270,7 +270,7 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
     _reject_unknown_keys(kv, "cover", lineno)
     try:
         doc.covers[name] = CoverSpec(base, degree, pos, neg, marked, constrained)
-    except (ValueError, LocalSFTError) as exc:
+    except LocalSFTError as exc:
         raise ConfigError(str(exc), lineno)
 
 

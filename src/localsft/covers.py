@@ -18,6 +18,7 @@ point pinned to a special point already kills the translation.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -34,7 +35,6 @@ from .errors import (
 from .orbits import (
     EMPTY_COLLECTION,
     OrbitCollection,
-    OrbitIterate,
     ReebOrbit,
     cz_iterate,
 )
@@ -294,7 +294,7 @@ class NeckSplit:
 
     def __post_init__(self):
         if not self.orbits:
-            raise ValueError("a neck needs at least one breaking orbit")
+            raise InvalidCover("a neck needs at least one breaking orbit")
         if self.side_plus.index != 0 or self.side_minus.index != 0:
             raise HypothesesViolated(
                 "neck limit curves must be rigid (index zero) by index additivity")
@@ -362,12 +362,8 @@ class StrataGraph:
 
         The same product can bound several parents; it is listed once.
         """
-        seen = []
-        for e in self.edges:
-            line = f"{e.upper}\t{e.lower}\t{e.middle.render()}"
-            if line not in seen:
-                seen.append(line)
-        return "\n".join(seen)
+        return "\n".join(dict.fromkeys(
+            f"{e.upper}\t{e.lower}\t{e.middle.render()}" for e in self.edges))
 
 
 def _partitions(n: int, max_part: int | None = None) -> list[tuple[int, ...]]:
@@ -407,7 +403,8 @@ def _node_id(spec: CoverSpec, components: int, level: str) -> str:
             f"c{spec.constrained_branch_points}:n{components}:{level}")
 
 
-def _make_node(spec: CoverSpec, components: int, level: str) -> StratumNode | None:
+def _make_node(spec: CoverSpec, components: int, level: str,
+               node_id: str) -> StratumNode | None:
     """Annotated stratum node, or None when no such cover exists at all."""
     z = branch_count_unchecked(spec, components)
     if z < 0:
@@ -429,7 +426,7 @@ def _make_node(spec: CoverSpec, components: int, level: str) -> StratumNode | No
                 rank = None
     ind = fredholm_index(spec, components)
     return StratumNode(
-        node_id=_node_id(spec, components, level),
+        node_id=node_id,
         spec=spec,
         components=components,
         level=level,
@@ -455,14 +452,9 @@ def _component_bound_for_base_cover(spec: CoverSpec) -> int:
     """Each component of a cover surjects onto the base near every puncture."""
     bound = spec.degree
     for side in ("positive", "negative"):
-        base_counts: dict[str, int] = {}
-        for it in spec.base.ends(side):
-            base_counts[it.orbit.name] = base_counts.get(it.orbit.name, 0) + 1
-        cover_counts: dict[str, int] = {}
-        for it in spec.ends(side):
-            cover_counts[it.orbit.name] = cover_counts.get(it.orbit.name, 0) + 1
-        for name, base_n in base_counts.items():
-            bound = min(bound, cover_counts.get(name, 0) // base_n)
+        cover_counts = Counter(it.orbit.name for it in spec.ends(side))
+        for name, base_n in Counter(it.orbit.name for it in spec.base.ends(side)).items():
+            bound = min(bound, cover_counts[name] // base_n)
     return bound
 
 
@@ -485,103 +477,75 @@ def _simple_orbits(ends: OrbitCollection) -> list[ReebOrbit]:
     return [seen[name] for name in sorted(seen)]
 
 
-def _select(ends: OrbitCollection, orbit: ReebOrbit,
-            keep: bool) -> tuple[OrbitIterate, ...]:
-    return tuple(it for it in ends
-                 if (it.orbit.name == orbit.name) == keep)
+def _glue(spec: CoverSpec, upper: CoverSpec, lower: CoverSpec,
+          middles: list[OrbitCollection], levels: tuple[str, str],
+          lower_first: bool = False):
+    """Two-level buildings of ``spec``: ``upper`` over ``lower`` along each middle.
 
-
-def _cylinder_strata(spec: CoverSpec):
-    """Two-level splittings of a cover of an orbit cylinder."""
-    orbit = spec.base.positive_ends.items[0].orbit
-    for middle in end_profiles(orbit, spec.degree):
-        for r_up, c_up, r_low, c_low in _marked_placements(
+    Each middle profile is appended to the negative ends of ``upper`` and the
+    positive ends of ``lower``; the marked points of ``spec`` are split over
+    the two levels and each level gets 1 to ``_component_bound_for_base_cover``
+    components, the two counts summing to one more than the middle's length
+    (genus zero).  Trivial-cylinder levels are skipped.  Placements and
+    component counts run upward on ``upper``, or on ``lower`` when
+    ``lower_first``, which fixes the edge order.
+    """
+    for middle in middles:
+        glued = [(replace(upper, negative_ends=OrbitCollection(
+                      upper.negative_ends.items + middle.items, sign="negative")), levels[0]),
+                 (replace(lower, positive_ends=OrbitCollection(
+                      lower.positive_ends.items + middle.items, sign="positive")), levels[1])]
+        if lower_first:
+            glued.reverse()
+        (first, first_level), (second, second_level) = glued
+        first_bound = _component_bound_for_base_cover(first)
+        second_bound = _component_bound_for_base_cover(second)
+        for r_first, c_first, r_second, c_second in _marked_placements(
                 spec.marked_points, spec.constrained_branch_points):
-            upper = CoverSpec(spec.base, spec.degree, spec.positive_ends,
-                              OrbitCollection(middle.items, sign="negative"),
-                              r_up, c_up)
-            lower = CoverSpec(spec.base, spec.degree,
-                              OrbitCollection(middle.items, sign="positive"),
-                              spec.negative_ends, r_low, c_low)
-            for n_up in range(1, min(len(upper.positive_ends), len(middle),
-                                     spec.degree) + 1):
-                n_low = len(middle) + 1 - n_up
-                if not 1 <= n_low <= min(len(lower.negative_ends), len(middle),
-                                         spec.degree):
+            a = replace(first, marked_points=r_first, constrained_branch_points=c_first)
+            b = replace(second, marked_points=r_second, constrained_branch_points=c_second)
+            for n_a in range(1, first_bound + 1):
+                n_b = len(middle) + 1 - n_a
+                if not 1 <= n_b <= second_bound:
                     continue
-                if (_is_trivial_cylinder_level(upper, n_up)
-                        or _is_trivial_cylinder_level(lower, n_low)):
+                if _is_trivial_cylinder_level(a, n_a) or _is_trivial_cylinder_level(b, n_b):
                     continue
-                yield (upper, n_up, TOP_CYLINDER), (lower, n_low, BOTTOM_CYLINDER), middle
+                pair = ((a, n_a, first_level), (b, n_b, second_level))
+                yield (pair[::-1] if lower_first else pair) + (middle,)
 
 
-def _cobordism_strata(spec: CoverSpec):
-    """Splittings of a cover of a punctured base: one cylinder level at a time."""
-    for side, level in (("positive", TOP_CYLINDER), ("negative", BOTTOM_CYLINDER)):
-        for orbit in _simple_orbits(spec.base.ends(side)):
-            active = OrbitCollection(_select(spec.ends(side), orbit, keep=True))
-            passthrough = _select(spec.ends(side), orbit, keep=False)
-            d_cyl = active.total_multiplicity()
-            cyl_base = cylinder_over(orbit)
-            for middle in end_profiles(orbit, d_cyl):
-                for r_cyl, c_cyl, r_main, c_main in _marked_placements(
-                        spec.marked_points, spec.constrained_branch_points):
-                    if side == "positive":
-                        cyl = CoverSpec(cyl_base, d_cyl, active,
-                                        OrbitCollection(middle.items, sign="negative"),
-                                        r_cyl, c_cyl)
-                        main = replace(
-                            spec,
-                            positive_ends=OrbitCollection(passthrough + middle.items,
-                                                          sign="positive"),
-                            marked_points=r_main, constrained_branch_points=c_main)
-                    else:
-                        cyl = CoverSpec(cyl_base, d_cyl,
-                                        OrbitCollection(middle.items, sign="positive"),
-                                        active, r_cyl, c_cyl)
-                        main = replace(
-                            spec,
-                            negative_ends=OrbitCollection(passthrough + middle.items,
-                                                          sign="negative"),
-                            marked_points=r_main, constrained_branch_points=c_main)
-                    n_cyl_max = min(len(active), len(middle), d_cyl)
-                    main_bound = _component_bound_for_base_cover(main)
-                    for n_cyl in range(1, n_cyl_max + 1):
-                        n_main = len(middle) + 1 - n_cyl
-                        if not 1 <= n_main <= main_bound:
-                            continue
-                        if _is_trivial_cylinder_level(cyl, n_cyl):
-                            continue
-                        if branch_count_unchecked(main, n_main) < 0:
-                            continue
-                        if side == "positive":
-                            yield (cyl, n_cyl, level), (main, n_main, MIDDLE), middle
-                        else:
-                            yield (main, n_main, MIDDLE), (cyl, n_cyl, level), middle
+def _splittings(spec: CoverSpec, neck: NeckSplit | None):
+    """Two-level splittings of ``spec``, as ``_glue`` yields them.
 
-
-def _neck_strata(spec: CoverSpec, neck: NeckSplit):
-    """Neck-stretch limits of a cover of a closed curve."""
-    orbits = sorted(neck.orbits, key=lambda o: o.name)
-    for middle in _mixed_profiles(orbits, spec.degree):
-        for r_up, c_up, r_low, c_low in _marked_placements(
-                spec.marked_points, spec.constrained_branch_points):
-            upper = CoverSpec(neck.side_plus, spec.degree, EMPTY_COLLECTION,
-                              OrbitCollection(middle.items, sign="negative"),
-                              r_up, c_up)
-            lower = CoverSpec(neck.side_minus, spec.degree,
-                              OrbitCollection(middle.items, sign="positive"),
-                              EMPTY_COLLECTION, r_low, c_low)
-            up_bound = _component_bound_for_base_cover(upper)
-            low_bound = _component_bound_for_base_cover(lower)
-            for n_up in range(1, up_bound + 1):
-                n_low = len(middle) + 1 - n_up
-                if not 1 <= n_low <= low_bound:
-                    continue
-                if (branch_count_unchecked(upper, n_up) < 0
-                        or branch_count_unchecked(lower, n_low) < 0):
-                    continue
-                yield (upper, n_up, MIDDLE), (lower, n_low, MIDDLE), middle
+    A cover of an orbit cylinder splits into two cylinder levels, a cover of
+    another punctured base splits off one cylinder level over one orbit of
+    one side, and a cover of a closed curve splits along the neck.
+    """
+    if spec.base.closed:
+        orbits = sorted(neck.orbits, key=lambda o: o.name)
+        yield from _glue(spec, CoverSpec(neck.side_plus, spec.degree),
+                         CoverSpec(neck.side_minus, spec.degree),
+                         _mixed_profiles(orbits, spec.degree), (MIDDLE, MIDDLE))
+    elif is_orbit_cylinder(spec.base):
+        orbit = spec.base.positive_ends.items[0].orbit
+        yield from _glue(spec, replace(spec, negative_ends=EMPTY_COLLECTION),
+                         replace(spec, positive_ends=EMPTY_COLLECTION),
+                         end_profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
+    else:
+        for side in ("positive", "negative"):
+            ends = spec.ends(side)
+            for orbit in _simple_orbits(spec.base.ends(side)):
+                active = tuple(it for it in ends if it.orbit.name == orbit.name)
+                rest = tuple(it for it in ends if it.orbit.name != orbit.name)
+                main = replace(spec, **{f"{side}_ends": OrbitCollection(rest, sign=side)})
+                cyl = CoverSpec(cylinder_over(orbit), sum(it.k for it in active),
+                                **{f"{side}_ends": OrbitCollection(active, sign=side)})
+                middles = end_profiles(orbit, cyl.degree)
+                if side == "positive":
+                    yield from _glue(spec, cyl, main, middles, (TOP_CYLINDER, MIDDLE))
+                else:
+                    yield from _glue(spec, main, cyl, middles, (MIDDLE, BOTTOM_CYLINDER),
+                                     lower_first=True)
 
 
 def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
@@ -594,32 +558,30 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     ordinary two-level splittings are tagged "sft".
     """
     validate_cover(spec)
-    root = _make_node(spec, 1, MIDDLE)
+    root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))
     if root is None:
         raise InconsistentProfile(f"{spec.describe()}: root space is empty")
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
     seen_edges: set[tuple] = set()
     queue: list[tuple[str, int]] = [(root.node_id, 0)]
-    while queue:
-        node_id, codim = queue.pop(0)
-        if codim >= max_codim:
-            continue
+
+    def annotated(child: CoverSpec, components: int, level: str) -> StratumNode | None:
+        # each node is annotated once, however many edges reach it
+        child_id = _node_id(child, components, level)
+        return graph.nodes.get(child_id) or _make_node(child, components, level, child_id)
+
+    for node_id, codim in queue:
         node = graph.nodes[node_id]
-        if node.components != 1:
+        if codim >= max_codim or node.components != 1:
             continue
-        if node.spec.base.closed:
-            strata = _neck_strata(node.spec, neck) if (
-                neck is not None and codim == 0) else iter(())
-            kind = "neck"
-        elif is_orbit_cylinder(node.spec.base):
-            strata = _cylinder_strata(node.spec)
-            kind = "sft"
-        else:
-            strata = _cobordism_strata(node.spec)
-            kind = "sft"
-        for (up_spec, n_up, up_level), (low_spec, n_low, low_level), middle in strata:
-            upper = _make_node(up_spec, n_up, up_level)
-            lower = _make_node(low_spec, n_low, low_level)
+        closed = node.spec.base.closed
+        if closed and (neck is None or codim):
+            continue
+        kind = "neck" if closed else "sft"
+        for (up_spec, n_up, up_level), (low_spec, n_low, low_level), middle in _splittings(
+                node.spec, neck):
+            upper = annotated(up_spec, n_up, up_level)
+            lower = annotated(low_spec, n_low, low_level)
             if upper is None or lower is None:
                 continue
             edge_key = (node_id, upper.node_id, lower.node_id, middle.key(), kind)

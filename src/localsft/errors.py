@@ -67,6 +67,10 @@ class DegreeMismatch(LocalSFTError):
     code = "E_DEGREE"
 
 
+class NotHomogeneous(DegreeMismatch, ValueError):
+    """The degree of a series with terms of several degrees was asked for."""
+
+
 class TruncationOverflow(LocalSFTError):
     """Substitution cannot preserve correctness up to the truncation order."""
 
@@ -92,9 +96,21 @@ class InvalidVariable(LocalSFTError, ValueError):
 
 
 class InvalidCover(LocalSFTError, ValueError):
-    """Base curve or cover data out of its domain."""
+    """Base curve, cover or neck data out of its domain."""
 
     code = "E_COVER"
+
+
+class InvalidTable(LocalSFTError, ValueError):
+    """Count-table context or provenance out of its domain."""
+
+    code = "E_TABLE"
+
+
+class InvalidGenus(LocalSFTError, ValueError):
+    """A negative surface genus."""
+
+    code = "E_GENUS"
 
 
 class InadmissibleKey(LocalSFTError):

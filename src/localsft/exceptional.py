@@ -29,6 +29,8 @@ from .covers import (
 )
 from .errors import (
     HypothesesViolated,
+    InvalidCover,
+    InvalidGenus,
     NotElliptic,
     NotExceptional,
     NotMorse,
@@ -158,9 +160,9 @@ class DescendantSpec:
 
     def __post_init__(self):
         if len(self.branching_orders) != self.r:
-            raise ValueError("need one branching order per marked point")
+            raise InvalidCover("need one branching order per marked point")
         if any(j < 0 for j in self.branching_orders):
-            raise ValueError("branching orders are nonnegative")
+            raise InvalidCover("branching orders are nonnegative")
 
     @property
     def constrained(self) -> int:
@@ -289,7 +291,7 @@ class NeckConfiguration:
 
     def __post_init__(self):
         if not self.gamma_set:
-            raise ValueError(f"neck {self.name}: needs at least one breaking orbit")
+            raise InvalidCover(f"neck {self.name}: needs at least one breaking orbit")
         if not self.separating:
             raise HypothesesViolated(
                 f"neck {self.name}: only separating hypersurfaces are supported")
@@ -586,7 +588,7 @@ def lagrangian_genus_gate(genus: int, intersects_exceptional: bool) -> GateVerdi
     elliptic-necessity deduction forbids.
     """
     if genus < 0:
-        raise ValueError("genus must be nonnegative")
+        raise InvalidGenus("genus must be nonnegative")
     if not intersects_exceptional:
         return GateVerdict("ALLOWED", (DerivationStep(
             "no-intersection",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadOrbit, InvalidOrbit, IterateOutOfRange, RegistryMismatch
+from .errors import BadOrbit, InvalidOrbit, InvalidVariable, IterateOutOfRange, RegistryMismatch
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -106,7 +106,7 @@ class OrbitCollection:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         if self.sign not in ("positive", "negative"):
-            raise ValueError(f"collection sign must be positive/negative, got {self.sign!r}")
+            raise InvalidOrbit(f"collection sign must be positive/negative, got {self.sign!r}")
 
     def __len__(self):
         return len(self.items)
@@ -179,7 +179,7 @@ def variable_degree(iterate: OrbitIterate, kind: str) -> int:
     ``deg p = -CZ - 1``.
     """
     if kind not in ("p", "q"):
-        raise ValueError(f"variable kind must be 'p' or 'q', got {kind!r}")
+        raise InvalidVariable(f"variable kind must be 'p' or 'q', got {kind!r}")
     if not is_good(iterate):
         raise BadOrbit(f"{iterate.name} is a bad orbit; it has no {kind}-variable")
     cz = cz_iterate(iterate.orbit, iterate.k)
@@ -198,7 +198,7 @@ class OrbitRegistry:
 
     def add(self, orbit: ReebOrbit) -> ReebOrbit:
         if orbit.name in self._orbits:
-            raise ValueError(f"duplicate orbit name {orbit.name!r}")
+            raise InvalidOrbit(f"duplicate orbit name {orbit.name!r}")
         # slots encode the rank of the orbit name: only a new last name keeps them
         if self.slot_table is not None and any(name > orbit.name for name in self._orbits):
             raise RegistryMismatch(f"cannot add orbit {orbit.name!r} before orbits whose "

@@ -37,6 +37,8 @@ from .covers import BaseCurve, CoverSpec, cokernel_rank, cylinder_over, validate
 from .errors import (
     HypothesesViolated,
     InadmissibleKey,
+    InvalidTable,
+    InvalidVariable,
     NoFormalSolution,
     RegistryMismatch,
 )
@@ -73,14 +75,14 @@ class CountTable:
                  registry: OrbitRegistry,
                  base: BaseCurve | None = None):
         if context_kind not in ("orbit", "curve"):
-            raise ValueError(f"table context must be orbit or curve, got {context_kind!r}")
+            raise InvalidTable(f"table context must be orbit or curve, got {context_kind!r}")
         self.context_kind = context_kind
         self.context_name = context_name
         self.registry = registry
         if context_kind == "orbit":
             base = cylinder_over(registry.get(context_name))
         elif base is None:
-            raise ValueError("curve tables need the base curve")
+            raise InvalidTable("curve tables need the base curve")
         self.base = base
         self.entries: dict[TableKey, Fraction] = {}
         self.hypothesis_ok: dict[TableKey, bool] = {}
@@ -181,10 +183,9 @@ def potential_from_counts(table: CountTable, truncation: int,
                           q_side: str = "minus", p_side: str = "plus") -> Potential:
     """Weighted generating function of a count table."""
     registry = table.registry
-    series = GradedSeries.zero(registry, truncation)
-    for (pos_key, neg_key), count in table.sorted_entries():
-        term = _key_monomial(pos_key, neg_key, registry, truncation, q_side, p_side)
-        series = series + term.scale(count * _weight(pos_key, neg_key))
+    series = GradedSeries(registry, truncation, {
+        _key_monomial(pos, neg, registry, q_side, p_side): count * _weight(pos, neg)
+        for (pos, neg), count in table.sorted_entries()})
     return Potential(series, source=table, q_side=q_side, p_side=p_side)
 
 
@@ -197,22 +198,17 @@ def hamiltonian_from_counts(table: CountTable, truncation: int,
 
 
 def _key_monomial(pos_key: CollectionKey, neg_key: CollectionKey,
-                  registry: OrbitRegistry, truncation: int,
-                  q_side: str, p_side: str) -> GradedSeries:
-    """Unit series ``q^{Gamma-} p^{Gamma+}``, q-letters first.
+                  registry: OrbitRegistry, q_side: str, p_side: str) -> Monomial:
+    """The monomial ``q^{Gamma-} p^{Gamma+}``, q-letters first.
 
-    The canonical storage order may differ, so the single stored term
-    carries the Koszul sign of the construction; weight inversion has to
-    divide it out again.
+    The ``GradedSeries`` constructor and ``coefficient`` sort its letters
+    with their Koszul sign, so a coefficient stored or read under this
+    monomial is the one of the written product.
     """
-    term = GradedSeries.constant(registry, truncation, 1)
-    for name, k in neg_key:
-        var = Variable(registry.get(name).iterate(k), "q", q_side)
-        term = multiply(term, GradedSeries.of(registry, truncation, var))
-    for name, k in pos_key:
-        var = Variable(registry.get(name).iterate(k), "p", p_side)
-        term = multiply(term, GradedSeries.of(registry, truncation, var))
-    return term
+    return (tuple((Variable(registry.get(name).iterate(k), "q", q_side), 1)
+                  for name, k in neg_key)
+            + tuple((Variable(registry.get(name).iterate(k), "p", p_side), 1)
+                    for name, k in pos_key))
 
 
 def _monomial_key(mono: Monomial, potential: Potential) -> TableKey | None:
@@ -229,20 +225,18 @@ def _monomial_key(mono: Monomial, potential: Potential) -> TableKey | None:
 def potential_to_counts(potential: Potential) -> CountTable:
     """Read the counts back off the coefficients (inverse of the weights)."""
     if potential.source is None:
-        raise ValueError("potential has no table provenance to rebuild")
+        raise InvalidTable("potential has no table provenance to rebuild")
     table = potential.source
-    registry = potential.series.registry
+    series = potential.series
     entries: dict[TableKey, Fraction] = {}
-    for mono, coeff in potential.series.terms():
+    for mono, _ in series.terms():
         key = _monomial_key(mono, potential)
         if key is None:
             raise InadmissibleKey(
                 f"monomial {render_monomial(mono)} has a variable outside the "
                 f"potential's (q {potential.q_side}, p {potential.p_side}) slots")
-        unit = _key_monomial(*key, registry, potential.series.truncation,
-                             potential.q_side, potential.p_side)
-        sign = unit.coefficient(mono)
-        entries[key] = coeff / (sign * _weight(*key))
+        entries[key] = series.coefficient(_key_monomial(
+            *key, series.registry, potential.q_side, potential.p_side)) / _weight(*key)
     return CountTable(table.context_kind, table.context_name, entries,
                       table.registry, base=table.base)
 
@@ -387,7 +381,7 @@ def reside_potential(potential: Potential, middle_orbits: set[str],
         series = reside(potential.series, kind="q", side=potential.q_side,
                         new_side="middle", orbit_names=middle_orbits)
         return Potential(series, source=None, q_side="middle", p_side=potential.p_side)
-    raise ValueError("move must be 'p' or 'q'")
+    raise InvalidVariable("move must be 'p' or 'q'")
 
 
 def transform_potential(f0: Potential, f10: Potential, f01: Potential,

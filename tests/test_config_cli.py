@@ -361,3 +361,131 @@ def test_generated_argv_exit_codes_and_one_error_line(argv, fmt, truncation):
     assert len(re.findall(r"^error E_[A-Z_]+: ", err, re.MULTILINE)) <= 1
     if err and not err.startswith("usage: "):
         assert re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err
+
+
+# `strata sphere_marked --neck stretch --max-codim 2 --format records` on the
+# example, verbatim: the order of the edges is part of the output.
+SPHERE_MARKED_NECK_STRATA = [
+    ("vplus:d2:()/(gamma^2):r0c0:n1:middle",
+     "vminus:d2:(gamma^2)/():r1c1:n1:middle", "(gamma^2)"),
+    ("vplus:d2:()/(gamma^2):r1c1:n1:middle",
+     "vminus:d2:(gamma^2)/():r0c0:n1:middle", "(gamma^2)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n1:middle",
+     "vminus:d2:(gamma,gamma)/():r1c1:n2:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n2:middle",
+     "vminus:d2:(gamma,gamma)/():r1c1:n1:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r1c1:n1:middle",
+     "vminus:d2:(gamma,gamma)/():r0c0:n2:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r1c1:n2:middle",
+     "vminus:d2:(gamma,gamma)/():r0c0:n1:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma^2):r0c0:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma^2)/(gamma^2):r1c1:n1:top-cylinder",
+     "vminus:d2:(gamma^2)/():r0c0:n1:middle", "(gamma^2)"),
+    ("cyl(gamma):d2:(gamma^2)/(gamma,gamma):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r1c1:n2:middle", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma^2)/(gamma,gamma):r1c1:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r0c0:n2:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma^2):r0c0:n1:middle",
+     "cyl(gamma):d2:(gamma^2)/(gamma^2):r1c1:n1:bottom-cylinder", "(gamma^2)"),
+    ("vplus:d2:()/(gamma,gamma):r1c1:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma^2):r0c0:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma^2):r1c1:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma^2)/(gamma,gamma):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r0c0:n2:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma^2):r0c0:n1:middle",
+     "cyl(gamma):d2:(gamma^2)/(gamma,gamma):r0c0:n1:bottom-cylinder", "(gamma^2)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r0c0:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma^2):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma^2)/():r1c1:n1:middle", "(gamma^2)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma^2):r1c1:n1:top-cylinder",
+     "vminus:d2:(gamma^2)/():r0c0:n1:middle", "(gamma^2)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r1c1:n2:middle", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r1c1:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r0c0:n2:middle", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r1c1:n2:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r0c0:n1:middle", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma^2):r1c1:n1:middle",
+     "cyl(gamma):d2:(gamma^2)/(gamma,gamma):r0c0:n1:bottom-cylinder", "(gamma^2)"),
+    ("vplus:d2:()/(gamma^2):r0c0:n1:middle",
+     "cyl(gamma):d2:(gamma^2)/(gamma,gamma):r1c1:n1:bottom-cylinder", "(gamma^2)"),
+    ("vplus:d2:()/(gamma,gamma):r1c1:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r0c0:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n2:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r1c1:n1:bottom-cylinder", "(gamma,gamma)"),
+    ("vplus:d2:()/(gamma,gamma):r0c0:n1:middle",
+     "cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r1c1:n2:bottom-cylinder", "(gamma,gamma)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma^2):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma^2)/():r0c0:n1:middle", "(gamma^2)"),
+    ("cyl(gamma):d2:(gamma,gamma)/(gamma,gamma):r0c0:n1:top-cylinder",
+     "vminus:d2:(gamma,gamma)/():r0c0:n2:middle", "(gamma,gamma)"),
+]
+
+
+def test_strata_records_edge_order_golden():
+    code, out, err = run_cli("--config", str(EXAMPLE), "strata", "sphere_marked", "--neck",
+                             "stretch", "--max-codim", "2", "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == "".join("\t".join(row) + "\n" for row in SPHERE_MARKED_NECK_STRATA)
+
+
+@st.composite
+def _documents(draw):
+    """Config text with orbits, curves, covers and necks; collections in any order."""
+    lines = [f"truncation {draw(st.integers(1, 9))}"]
+    tops = {}
+    for i in range(draw(st.integers(1, 4))):
+        morse = draw(st.sampled_from(["", " morse=no"]))
+        if draw(st.booleans()):
+            top = draw(st.integers(1, 6))
+            theta = draw(st.integers(top + 1, top + 5).flatmap(
+                lambda den: st.integers(1, 3 * den).map(lambda num: Fraction(num, den)))
+                .filter(lambda t: t.denominator > top))
+            lines.append(f"orbit e{i} elliptic theta={theta} max_iterate={top}{morse}")
+            tops[f"e{i}"] = top
+        else:
+            lines.append(f"orbit h{i} hyperbolic cz1={draw(st.integers(-5, 5))}{morse}")
+            tops[f"h{i}"] = 4
+    names = sorted(tops)
+    atom = st.sampled_from(names).flatmap(
+        lambda name: st.integers(1, tops[name]).map(lambda k: name if k == 1 else f"{name}^{k}"))
+    # written in drawn order, which is rarely the sorted order the renderer writes
+    collection = st.lists(atom, max_size=4).map(lambda atoms: f"({','.join(atoms)})")
+    curves = [f"cyl:{name}" for name in names]
+    rigid = list(curves)
+    for i in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(-1, 1))
+        bits = [f"curve c{i} index={index} rel_c1_doubled={draw(st.integers(-4, 4))}"]
+        if draw(st.booleans()):
+            bits.append("immersed=no")
+        if draw(st.booleans()):
+            bits.append("closed=yes")
+        else:
+            bits.append(f"pos={draw(collection)} neg={draw(collection)}")
+        lines.append(" ".join(bits))
+        curves.append(f"c{i}")
+        if index == 0:
+            rigid.append(f"c{i}")
+    for i in range(draw(st.integers(0, 3))):
+        marked = draw(st.integers(0, 2))
+        lines.append(f"cover w{i} base={draw(st.sampled_from(curves))} "
+                     f"degree={draw(st.integers(1, 4))} pos={draw(collection)} "
+                     f"neg={draw(collection)} marked={marked} "
+                     f"constrained={draw(st.integers(0, marked))}")
+    for i in range(draw(st.integers(0, 2))):
+        orbits = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        lines.append(f"neck n{i} orbits=({','.join(orbits)}) "
+                     f"plus={draw(st.sampled_from(rigid))} minus={draw(st.sampled_from(rigid))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_documents())
+def test_generated_documents_roundtrip(text):
+    doc = parse_config(text)
+    rendered = render_config(doc)
+    assert parse_config(rendered) == doc
+    assert render_config(parse_config(rendered)) == rendered

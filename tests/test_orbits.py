@@ -5,12 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localsft.algebra import Variable
-from localsft.covers import BaseCurve, CoverSpec
+from localsft.algebra import GradedSeries, Variable
+from localsft.covers import BaseCurve, CoverSpec, NeckSplit
+from localsft.exceptional import DescendantSpec, NeckConfiguration, lagrangian_genus_gate
+from localsft.potentials import CountTable, Potential, potential_to_counts, reside_potential
 from localsft.errors import BadOrbit, IterateOutOfRange
 from localsft.errors import InvalidCover, InvalidOrbit, InvalidVariable, LocalSFTError
+from localsft.errors import InvalidGenus, InvalidTable, NotHomogeneous
 from localsft.orbits import (
     OrbitCollection,
+    OrbitRegistry,
     ReebOrbit,
     cz_defect,
     cz_iterate,
@@ -181,6 +185,32 @@ _PLANE = BaseCurve("u", positive_ends=OrbitCollection((_H.iterate(1),)))
     (lambda: CoverSpec(_PLANE, 1, marked_points=1, constrained_branch_points=2), InvalidCover),
 ])
 def test_constructor_errors_are_library_value_errors(build, error):
+    with pytest.raises(error) as err:
+        build()
+    assert isinstance(err.value, LocalSFTError)
+    assert isinstance(err.value, ValueError)
+
+
+_REG = OrbitRegistry([_H])
+_Q = GradedSeries.of(_REG, 4, Variable(_H.iterate(1), "q", "minus"))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: OrbitCollection((), sign="up"), InvalidOrbit),
+    (lambda: variable_degree(_H.iterate(1), "r"), InvalidVariable),
+    (lambda: OrbitRegistry([_H, _H]), InvalidOrbit),
+    (lambda: NeckSplit((), _PLANE, _PLANE), InvalidCover),
+    (lambda: NeckConfiguration("n", (), _PLANE, _PLANE), InvalidCover),
+    (lambda: DescendantSpec(_PLANE, 1, 1, ()), InvalidCover),
+    (lambda: DescendantSpec(_PLANE, 1, 1, (-1,)), InvalidCover),
+    (lambda: lagrangian_genus_gate(-1, True), InvalidGenus),
+    (lambda: CountTable("disk", "h", {}, _REG), InvalidTable),
+    (lambda: CountTable("curve", "u", {}, _REG), InvalidTable),
+    (lambda: potential_to_counts(Potential(_Q)), InvalidTable),
+    (lambda: reside_potential(Potential(_Q), {"h"}, "r"), InvalidVariable),
+    (lambda: (_Q + GradedSeries.constant(_REG, 4, 1)).degree(), NotHomogeneous),
+])
+def test_domain_errors_are_library_value_errors(build, error):
     with pytest.raises(error) as err:
         build()
     assert isinstance(err.value, LocalSFTError)

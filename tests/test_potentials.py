@@ -161,6 +161,25 @@ class TestComposeSharp:
         got = compose_sharp(f_minus, f_plus, [REG.get("a").iterate(1)], order=6)
         assert got.series == pp.scale(2)
 
+    @pytest.mark.parametrize("p_power, q_power, want", [(2, 1, 300), (1, 2, 180)])
+    def test_kappa_scales_both_middle_equations(self, p_power, q_power, want):
+        # 3 q-[gm] p~[a^2]^i # 5 q~[a^2]^j p+[gp] at kappa = 2: kappa^2 3^j 5^i q-[gm]^j p+[gp]^i,
+        # i.e. 300 q-[gm] p+[gp]^2 and 180 q-[gm]^2 p+[gp]; dropping the kappa of the
+        # p~ equation gives 225 in the first case, that of the q~ equation 135 in the second
+        def power(series, n):
+            return series if n == 1 else multiply(series, power(series, n - 1))
+
+        qm = S(var("gm", kind="q", side="minus"))
+        pp = S(var("gp", kind="p", side="plus"))
+        pmid = S(var("a", 2, kind="p", side="middle"))
+        qmid = S(var("a", 2, kind="q", side="middle"))
+        f_minus = Potential(multiply(qm, power(pmid, p_power)).scale(3),
+                            q_side="minus", p_side="middle")
+        f_plus = Potential(multiply(power(qmid, q_power), pp).scale(5),
+                           q_side="middle", p_side="plus")
+        got = compose_sharp(f_minus, f_plus, [REG.get("a").iterate(2)], order=6)
+        assert got.series == multiply(power(qm, q_power), power(pp, p_power)).scale(want)
+
     def test_identity_is_two_sided_unit(self):
         rng = random.Random(5)
         mids = [REG.get("a").iterate(1), REG.get("a").iterate(2),
