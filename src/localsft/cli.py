@@ -21,10 +21,6 @@ from .errors import HYPOTHESIS_ERRORS, ConfigError, LocalSFTError
 from .orbits import cz_defect, cz_iterate, is_good, variable_degree
 
 
-class CheckFailure(LocalSFTError):
-    code = "E_CHECK"
-
-
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -38,17 +34,11 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _format_records(headers: list[str], rows: list[list[str]]) -> str:
-    lines = []
-    for row in rows:
-        lines.append("\t".join(f"{h}={c}" for h, c in zip(headers, row)))
-    return "\n".join(lines)
+    return "\n".join("\t".join(f"{h}={c}" for h, c in zip(headers, row)) for row in rows)
 
 
 def _emit(args, headers: list[str], rows: list[list[str]]) -> None:
-    if args.format == "records":
-        text = _format_records(headers, rows)
-    else:
-        text = _format_table(headers, rows)
+    text = (_format_records if args.format == "records" else _format_table)(headers, rows)
     if text:
         print(text)
 

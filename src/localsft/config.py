@@ -105,7 +105,6 @@ def _parse_collection(text: str, registry: OrbitRegistry, sign: str,
             items.append(registry.get(name).iterate(k))
         except LocalSFTError as exc:
             raise ConfigError(str(exc), line, col)
-    items.sort(key=lambda it: (it.orbit.name, it.k))
     return OrbitCollection(tuple(items), sign=sign)
 
 

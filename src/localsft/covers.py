@@ -18,7 +18,6 @@ point pinned to a special point already kills the translation.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -32,12 +31,7 @@ from .errors import (
     NotImmersed,
     OddChern,
 )
-from .orbits import (
-    EMPTY_COLLECTION,
-    OrbitCollection,
-    ReebOrbit,
-    cz_iterate,
-)
+from .orbits import EMPTY_COLLECTION, OrbitCollection, ReebOrbit, cz_iterate
 
 HURWITZ_DEGREE_BOUND = 12
 
@@ -132,18 +126,11 @@ class CoverSpec:
         return f"{tag}({self.positive_ends.render()}|{self.negative_ends.render()})"
 
 
-def _side_profile(ends: OrbitCollection) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for it in ends:
-        out[it.orbit.name] = out.get(it.orbit.name, 0) + it.k
-    return out
-
-
 def validate_cover(spec: CoverSpec) -> None:
     """Multiplicity consistency of the cover asymptotics with the base."""
     for side in ("positive", "negative"):
-        base_profile = _side_profile(spec.base.ends(side))
-        cover_profile = _side_profile(spec.ends(side))
+        base_profile = spec.base.ends(side).multiplicities
+        cover_profile = spec.ends(side).multiplicities
         want = {name: spec.degree * mult for name, mult in base_profile.items()}
         if cover_profile != want:
             raise InconsistentProfile(
@@ -175,12 +162,9 @@ def fredholm_index(spec: CoverSpec, components: int = 1) -> int:
     """
     validate_cover(spec)
     chi = 2 * components - spec.punctures
-    total = -chi + spec.degree * spec.base.rel_c1_doubled
-    for it in spec.positive_ends:
-        total += cz_iterate(it.orbit, it.k)
-    for it in spec.negative_ends:
-        total -= cz_iterate(it.orbit, it.k)
-    return total
+    return (-chi + spec.degree * spec.base.rel_c1_doubled
+            + sum(cz_iterate(it.orbit, it.k) for it in spec.positive_ends)
+            - sum(cz_iterate(it.orbit, it.k) for it in spec.negative_ends))
 
 
 def virtual_dimension(spec: CoverSpec, components: int = 1) -> int:
@@ -234,6 +218,11 @@ def cokernel_rank(spec: CoverSpec) -> int:
     base is an orbit cylinder, where no ellipticity is needed), and the
     index does not exceed the unperturbed dimension bound.
     """
+    return _obstruction_rank(spec)
+
+
+def _obstruction_rank(spec: CoverSpec, ind: int | None = None) -> int:
+    """``cokernel_rank`` (marked points ignored); pass ``ind`` once ``spec`` is validated."""
     if not spec.base.immersed:
         raise HypothesesViolated(f"{spec.describe()}: base not immersed")
     if not is_orbit_cylinder(spec.base):
@@ -243,8 +232,9 @@ def cokernel_rank(spec: CoverSpec) -> int:
             raise HypothesesViolated(
                 f"{spec.describe()}: non-elliptic asymptotics {bad} outside the "
                 f"orbit-cylinder case")
-    bound = spec.base.index + 2 * branch_count(spec)
-    ind = fredholm_index(spec)
+    if ind is None:
+        ind = fredholm_index(spec)
+    bound = spec.base.index + 2 * branch_count_unchecked(spec)
     if ind > bound:
         raise HypothesesViolated(
             f"{spec.describe()}: index {ind} exceeds the unperturbed dimension "
@@ -409,6 +399,7 @@ def _make_node(spec: CoverSpec, components: int, level: str,
     z = branch_count_unchecked(spec, components)
     if z < 0:
         return None
+    ind = fredholm_index(spec, components)  # validates the node once
     unperturbed = None
     rank = None
     empty = False
@@ -420,11 +411,9 @@ def _make_node(spec: CoverSpec, components: int, level: str,
             unperturbed = None
         elif components == 1:
             try:
-                rank = cokernel_rank(
-                    replace(spec, marked_points=0, constrained_branch_points=0))
+                rank = _obstruction_rank(spec, ind)
             except HypothesesViolated:
                 rank = None
-    ind = fredholm_index(spec, components)
     return StratumNode(
         node_id=node_id,
         spec=spec,
@@ -452,9 +441,9 @@ def _component_bound_for_base_cover(spec: CoverSpec) -> int:
     """Each component of a cover surjects onto the base near every puncture."""
     bound = spec.degree
     for side in ("positive", "negative"):
-        cover_counts = Counter(it.orbit.name for it in spec.ends(side))
-        for name, base_n in Counter(it.orbit.name for it in spec.base.ends(side)).items():
-            bound = min(bound, cover_counts[name] // base_n)
+        cover_counts = spec.ends(side).end_counts
+        for name, base_n in spec.base.ends(side).end_counts.items():
+            bound = min(bound, cover_counts.get(name, 0) // base_n)
     return bound
 
 
@@ -468,13 +457,6 @@ def _marked_placements(r: int, c: int) -> list[tuple[int, int, int, int]]:
             if c_low <= r_low:
                 out.append((r_up, c_up, r_low, c_low))
     return out
-
-
-def _simple_orbits(ends: OrbitCollection) -> list[ReebOrbit]:
-    seen: dict[str, ReebOrbit] = {}
-    for it in ends:
-        seen.setdefault(it.orbit.name, it.orbit)
-    return [seen[name] for name in sorted(seen)]
 
 
 def _glue(spec: CoverSpec, upper: CoverSpec, lower: CoverSpec,
@@ -534,7 +516,8 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
     else:
         for side in ("positive", "negative"):
             ends = spec.ends(side)
-            for orbit in _simple_orbits(spec.base.ends(side)):
+            # the simple orbits of this side, in name order
+            for orbit in {it.orbit.name: it.orbit for it in spec.base.ends(side)}.values():
                 active = tuple(it for it in ends if it.orbit.name == orbit.name)
                 rest = tuple(it for it in ends if it.orbit.name != orbit.name)
                 main = replace(spec, **{f"{side}_ends": OrbitCollection(rest, sign=side)})
@@ -558,9 +541,7 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     ordinary two-level splittings are tagged "sft".
     """
     validate_cover(spec)
-    root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))
-    if root is None:
-        raise InconsistentProfile(f"{spec.describe()}: root space is empty")
+    root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))  # not None once validated
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
     seen_edges: set[tuple] = set()
     queue: list[tuple[str, int]] = [(root.node_id, 0)]

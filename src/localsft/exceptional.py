@@ -312,7 +312,7 @@ def standard_neck(name: str, orbits: list[ReebOrbit]) -> NeckConfiguration:
     """
     m = len(orbits)
     cz_sum = sum(cz_iterate(o, 1) for o in orbits)
-    ends = tuple(o.iterate(1) for o in sorted(orbits, key=lambda o: o.name))
+    ends = tuple(o.iterate(1) for o in orbits)
     side_plus = BaseCurve(
         f"{name}+", negative_ends=OrbitCollection(ends, sign="negative"),
         index=0, rel_c1_doubled=2 - m + cz_sum, immersed=True)

@@ -2,19 +2,22 @@
 
 Orbits come in two nondegenerate flavours.  An elliptic orbit carries an
 exact rational rotation number ``theta``; its iterates have index
-``CZ(k) = 2*floor(k*theta) + 1``.  A hyperbolic orbit carries the integer
-index ``cz1`` of the simple orbit and iterates additively,
-``CZ(k) = k*cz1``.  Rationality of ``theta`` is harmless as long as
-``k*theta`` never lands on an integer, which is guaranteed for all
-``k <= max_iterate`` by requiring the denominator of ``theta`` to exceed
-``max_iterate``.
+``CZ(k) = 2*floor(k*theta) + 1``, tabulated once per orbit for every
+admissible k.  A hyperbolic orbit carries the integer index ``cz1`` of
+the simple orbit and iterates additively, ``CZ(k) = k*cz1``.
+Rationality of ``theta`` is harmless as long as ``k*theta`` never lands
+on an integer, which is guaranteed for all ``k <= max_iterate`` by
+requiring the denominator of ``theta`` to exceed ``max_iterate``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
+from math import prod
+from operator import attrgetter, itemgetter
 
 from .errors import BadOrbit, InvalidOrbit, InvalidVariable, IterateOutOfRange, RegistryMismatch
 
@@ -32,6 +35,8 @@ class ReebOrbit:
     cz1: int | None = None
     max_iterate: int | None = None
     morse: bool = True
+    # CZ(k) at index k - 1 for every admissible k (elliptic orbits only)
+    cz_table: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (ELLIPTIC, HYPERBOLIC):
@@ -54,6 +59,9 @@ class ReebOrbit:
                     f"orbit {self.name}: theta denominator {theta.denominator} "
                     f"must exceed max_iterate {self.max_iterate}"
                 )
+            num, den = theta.numerator, theta.denominator
+            object.__setattr__(self, "cz_table", tuple(
+                2 * (k * num // den) + 1 for k in range(1, self.max_iterate + 1)))
         else:
             if self.cz1 is None:
                 raise InvalidOrbit(f"orbit {self.name}: hyperbolic needs cz1")
@@ -72,6 +80,14 @@ class ReebOrbit:
         return OrbitIterate(self, k)
 
 
+def _check_iterate(orbit: ReebOrbit, k: int) -> None:
+    if k < 1:
+        raise InvalidOrbit(f"iterate multiplicity must be positive, got {k}")
+    if orbit.elliptic and k > orbit.max_iterate:
+        raise IterateOutOfRange(
+            f"{orbit.name}^{k}: beyond declared bound max_iterate={orbit.max_iterate}")
+
+
 @dataclass(frozen=True)
 class OrbitIterate:
     """The k-fold cover of a simple orbit; ``k`` is the multiplicity kappa."""
@@ -80,13 +96,7 @@ class OrbitIterate:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidOrbit(f"iterate multiplicity must be positive, got {self.k}")
-        if self.orbit.elliptic and self.k > self.orbit.max_iterate:
-            raise IterateOutOfRange(
-                f"{self.orbit.name}^{self.k}: beyond declared bound "
-                f"max_iterate={self.orbit.max_iterate}"
-            )
+        _check_iterate(self.orbit, self.k)
 
     @property
     def name(self) -> str:
@@ -96,17 +106,45 @@ class OrbitIterate:
         return f"OrbitIterate({self.name})"
 
 
+_ITERATE_ORDER = attrgetter("orbit.name", "k")
+_NAME = itemgetter(0)
+
+
 @dataclass(frozen=True)
 class OrbitCollection:
-    """An ordered multiset of orbit iterates: the asymptotics of one end."""
+    """A multiset of orbit iterates: the asymptotics of one end.
+
+    Canonical at construction: ``items`` is sorted by (orbit name, k), so
+    collections that differ only in order compare, hash and render equal.
+    The key, the rendering and the per-orbit totals are computed once, on
+    first use.
+    """
 
     items: tuple[OrbitIterate, ...] = ()
     sign: str = "positive"
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
         if self.sign not in ("positive", "negative"):
             raise InvalidOrbit(f"collection sign must be positive/negative, got {self.sign!r}")
+        object.__setattr__(self, "items", tuple(sorted(self.items, key=_ITERATE_ORDER)))
+
+    @cached_property
+    def multiplicities(self) -> dict[str, int]:
+        """Orbit name -> total multiplicity of its iterates (cached: do not mutate)."""
+        return {name: sum(k for _, k in pairs) for name, pairs in groupby(self._key, _NAME)}
+
+    @cached_property
+    def end_counts(self) -> dict[str, int]:
+        """Orbit name -> number of its iterates (cached: do not mutate)."""
+        return {name: len(list(pairs)) for name, pairs in groupby(self._key, _NAME)}
+
+    @cached_property
+    def _key(self) -> tuple[tuple[str, int], ...]:
+        return tuple(map(_ITERATE_ORDER, self.items))
+
+    @cached_property
+    def _render(self) -> str:
+        return "(" + ",".join(it.name for it in self.items) + ")"
 
     def __len__(self):
         return len(self.items)
@@ -117,24 +155,18 @@ class OrbitCollection:
     @property
     def kappa(self) -> int:
         """Product of the multiplicities of all members."""
-        out = 1
-        for it in self.items:
-            out *= it.k
-        return out
+        return prod(it.k for it in self.items)
 
     def total_multiplicity(self, orbit: ReebOrbit | None = None) -> int:
-        return sum(it.k for it in self.items
-                   if orbit is None or it.orbit.name == orbit.name)
+        totals = self.multiplicities
+        return sum(totals.values()) if orbit is None else totals.get(orbit.name, 0)
 
     def key(self) -> tuple[tuple[str, int], ...]:
-        """Order-insensitive canonical key (sorted by orbit name, multiplicity)."""
-        return tuple(sorted((it.orbit.name, it.k) for it in self.items))
-
-    def sorted_items(self) -> tuple[OrbitIterate, ...]:
-        return tuple(sorted(self.items, key=lambda it: (it.orbit.name, it.k)))
+        """Canonical key: (orbit name, multiplicity) pairs in item order."""
+        return self._key
 
     def render(self) -> str:
-        return "(" + ",".join(it.name for it in self.sorted_items()) + ")"
+        return self._render
 
     def __repr__(self):
         return f"OrbitCollection{self.render()}"
@@ -144,11 +176,9 @@ EMPTY_COLLECTION = OrbitCollection(())
 
 
 def cz_iterate(orbit: ReebOrbit, k: int) -> int:
-    """Conley-Zehnder index of the k-th iterate."""
-    it = OrbitIterate(orbit, k)  # validates the range
-    if orbit.elliptic:
-        return 2 * math.floor(it.k * orbit.theta) + 1
-    return it.k * orbit.cz1
+    """Conley-Zehnder index of the k-th iterate, read from the orbit's table."""
+    _check_iterate(orbit, k)
+    return orbit.cz_table[k - 1] if orbit.elliptic else k * orbit.cz1
 
 
 def cz_defect(orbit: ReebOrbit, k: int, m: int) -> int:

@@ -1,5 +1,6 @@
 import io
 import re
+import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -489,3 +490,25 @@ def test_generated_documents_roundtrip(text):
     rendered = render_config(doc)
     assert parse_config(rendered) == doc
     assert render_config(parse_config(rendered)) == rendered
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [line for line in README.read_text().splitlines()
+                   if line.startswith("localsft --config ")]
+
+
+def test_readme_lists_commands():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("line", README_COMMANDS,
+                         ids=[line.partition("example.cfg ")[2] or line for line in README_COMMANDS])
+def test_readme_commands_run_on_the_shipped_example(line):
+    argv = shlex.split(line)[1:]
+    assert argv[1] == "src/localsft/data/example.cfg"
+    argv[1] = str(EXAMPLE)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    assert out.getvalue() and not err.getvalue()

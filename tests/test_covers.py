@@ -1,7 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localsft.covers import (
     BaseCurve,
@@ -16,6 +19,7 @@ from localsft.covers import (
     normal_chern_numbers,
     tangency_dimension,
     tangency_report,
+    validate_cover,
 )
 from localsft.errors import (
     HypothesesViolated,
@@ -24,6 +28,8 @@ from localsft.errors import (
     OddChern,
 )
 from localsft.orbits import OrbitCollection, ReebOrbit, cz_iterate
+
+from test_hurwitz import partitions
 
 
 def elliptic(name="gamma", theta=Fraction(3, 10), max_iterate=6):
@@ -370,3 +376,93 @@ def test_rank_identity_on_random_specs():
             continue
         assert rank + fredholm_index(spec) == spec.base.index + 2 * branch_count(spec)
         checked += 1
+
+
+# -- gluing invariants of boundary strata -------------------------------------
+
+
+@st.composite
+def strata_cases(draw):
+    """A cover with its neck: of an orbit cylinder, a punctured base or a closed sphere.
+
+    Orbits are elliptic or hyperbolic.  Punctured bases have up to two ends
+    on each side, at distinct orbits; they and the two sides of the
+    one-orbit neck are rigid.
+    """
+    names = iter("abce")
+
+    def orbit():
+        name = next(names)
+        if draw(st.booleans()):
+            theta = Fraction(draw(st.integers(1, 120)), draw(st.integers(7, 40)))
+            assume(theta.denominator > 6)
+            return ReebOrbit(name, "elliptic", theta=theta, max_iterate=6)
+        return hyperbolic(name, cz1=draw(st.integers(-4, 4)))
+
+    def rigid(name, pos=(), neg=()):
+        rel = 2 - len(pos) - len(neg) - sum(cz_iterate(o, 1) for o in pos) + sum(
+            cz_iterate(o, 1) for o in neg)
+        return BaseCurve(name, positive_ends=coll(*[o.iterate(1) for o in pos]),
+                         negative_ends=coll(*[o.iterate(1) for o in neg], sign="negative"),
+                         index=0, rel_c1_doubled=rel)
+
+    kind = draw(st.sampled_from(["cylinder", "punctured", "closed"]))
+    neck = None
+    if kind == "cylinder":
+        base = cylinder_over(orbit())
+    elif kind == "punctured":
+        pos = [orbit() for _ in range(draw(st.integers(0, 2)))]
+        neg = [orbit() for _ in range(draw(st.integers(0 if pos else 1, 2)))]
+        base = rigid("w", pos, neg)
+    else:
+        neck_orbit = orbit()
+        neck = NeckSplit((neck_orbit,), rigid("vplus", neg=[neck_orbit]),
+                         rigid("vminus", pos=[neck_orbit]))
+        base = sphere()
+    # in degree one only a neck splits
+    degree = draw(st.integers(2, 4 if base.punctures <= 2 else 3))
+
+    def ends(side):
+        return coll(*[it.orbit.iterate(k) for it in base.ends(side)
+                      for k in draw(st.sampled_from(partitions(degree)))], sign=side)
+
+    marked = draw(st.integers(0, 2))
+    spec = CoverSpec(base, degree, ends("positive"), ends("negative"), marked_points=marked,
+                     constrained_branch_points=draw(st.integers(0, min(marked, 1))))
+    # Riemann-Hurwitz: the ends leave a nonnegative number of branch points
+    assume(degree * (2 - base.punctures) - (2 - spec.punctures) >= 0)
+    return spec, neck
+
+
+def _unmarked_cylinder(node):
+    return int(is_orbit_cylinder(node.spec.base) and node.spec.marked_points == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strata_cases())
+def test_strata_satisfy_gluing_invariants(case):
+    # every node is a valid cover annotated like a standalone computation;
+    # every edge adds indices, and drops the virtual dimension by the
+    # translation quotients: those of unmarked cylinder levels, less the
+    # parent's own, so neck edges (no cylinder levels) drop none
+    spec, neck = case
+    graph = boundary_strata(spec, neck=neck, max_codim=2)
+    for node in graph.node_list():
+        validate_cover(node.spec)
+        assert node.index == fredholm_index(node.spec, node.components)
+        if node.components == 1 and node.spec.base.immersed:
+            try:
+                want = cokernel_rank(replace(node.spec, marked_points=0,
+                                             constrained_branch_points=0))
+            except HypothesesViolated:
+                want = None
+            assert node.obstruction_rank == (None if node.empty else want), node.describe()
+    for edge in graph.edges:
+        parent, upper, lower = (graph.nodes[i] for i in (edge.parent, edge.upper, edge.lower))
+        assert upper.index + lower.index == parent.index
+        drop = parent.virtual_dim - upper.virtual_dim - lower.virtual_dim
+        if edge.kind == "neck":
+            assert drop == 0
+        else:
+            assert drop == (_unmarked_cylinder(upper) + _unmarked_cylinder(lower)
+                            - _unmarked_cylinder(parent))

@@ -5,6 +5,7 @@ full cartesian products of conjugacy classes (no inverse shortcut), uses
 the opposite composition convention, and tests transitivity by union-find.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial, prod
@@ -56,7 +57,16 @@ def _connected(perms, d):
 
 
 def brute_monodromy_count(d, profiles, branch_points):
-    """Full enumeration: apply factors right-to-left, demand the identity."""
+    """Full enumeration: apply factors right-to-left, demand the identity.
+
+    Memoised: the oracle test here and the acceptance cross-check walk the
+    same grid.
+    """
+    return _brute_monodromy_count(d, tuple(map(tuple, profiles)), branch_points)
+
+
+@functools.cache
+def _brute_monodromy_count(d, profiles, branch_points):
     classes = [_conjugacy_class(d, p) for p in profiles]
     if branch_points:
         classes += [_conjugacy_class(d, (2,) + (1,) * (d - 2))] * branch_points

@@ -168,6 +168,72 @@ def test_pq_degree_parity_matches_index(orbit, k):
     assert deg_q % 2 == deg_p % 2 == (cz + 1) % 2
 
 
+@st.composite
+def tabulated_orbits(draw):
+    """Elliptic orbits with a random iterate bound."""
+    top = draw(st.integers(min_value=1, max_value=30))
+    den = draw(st.integers(min_value=top + 1, max_value=400))
+    theta = Fraction(draw(st.integers(min_value=1, max_value=4 * den)), den)
+    assume(theta.denominator > top)
+    return elliptic(theta, max_iterate=top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tabulated_orbits())
+def test_cz_table_is_the_floor_formula(orbit):
+    want = [2 * math.floor(k * orbit.theta) + 1 for k in range(1, orbit.max_iterate + 1)]
+    assert list(orbit.cz_table) == want
+    assert [cz_iterate(orbit, k) for k in range(1, orbit.max_iterate + 1)] == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(tabulated_orbits())
+def test_cz_table_range_errors(orbit):
+    top = orbit.max_iterate
+    for lookup in (cz_iterate, lambda o, k: o.iterate(k)):
+        with pytest.raises(InvalidOrbit, match=r"^iterate multiplicity must be positive, got 0$"):
+            lookup(orbit, 0)
+        with pytest.raises(IterateOutOfRange) as err:
+            lookup(orbit, top + 1)
+        assert str(err.value) == f"gamma^{top + 1}: beyond declared bound max_iterate={top}"
+    with pytest.raises(InvalidOrbit, match=r"^iterate multiplicity must be positive, got 0$"):
+        cz_iterate(hyperbolic(3), 0)
+
+
+def test_cz_table_stays_out_of_equality():
+    orbit = elliptic(Fraction(3, 10))
+    assert orbit.cz_table == (1, 1, 1, 3, 3, 3)
+    assert hyperbolic(3).cz_table == ()
+    assert orbit == elliptic(Fraction(3, 10)) and hash(orbit) == hash(elliptic(Fraction(3, 10)))
+    assert "cz_table" not in repr(orbit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([("a", 1), ("a", 2), ("b", 1), ("b", 3), ("c", 2)]),
+                max_size=6),
+       st.randoms(use_true_random=False), st.sampled_from(["positive", "negative"]))
+def test_permuted_collections_are_equal(pairs, rnd, sign):
+    orbits = {name: elliptic(Fraction(3, 10), name=name) for name in "abc"}
+    items = [orbits[name].iterate(k) for name, k in pairs]
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    first = OrbitCollection(tuple(items), sign=sign)
+    second = OrbitCollection(tuple(shuffled), sign=sign)
+    assert first == second and hash(first) == hash(second)
+    assert first.render() == second.render() == "(" + ",".join(
+        name if k == 1 else f"{name}^{k}" for name, k in sorted(pairs)) + ")"
+    assert first.key() == second.key() == tuple(sorted(pairs))
+    assert first.items == tuple(sorted(items, key=lambda it: (it.orbit.name, it.k)))
+    totals = {}
+    for name, k in pairs:
+        totals[name] = totals.get(name, 0) + k
+    assert first.multiplicities == second.multiplicities == dict(sorted(totals.items()))
+    assert first.end_counts == {name: [n for n, _ in pairs].count(name)
+                                for name in sorted(totals)}
+    assert first != OrbitCollection(tuple(items), sign="negative" if sign == "positive"
+                                    else "positive")
+
+
 _H = ReebOrbit("h", "hyperbolic", cz1=2)
 _PLANE = BaseCurve("u", positive_ends=OrbitCollection((_H.iterate(1),)))
 
