@@ -17,6 +17,12 @@ slots.  Slots depend only on the variable and the registry's orbit names, so
 equal registries share them.  ``Variable``, ``terms()``, ``coefficient()``
 and the constructor speak ``((Variable, exponent), ...)`` monomials.
 
+A series stores integer numerators over one positive denominator, reduced so
+that the denominator and all numerators have no common factor; equal series
+therefore have equal storage.  Products, derivatives, pairings and
+substitutions work on the integers and multiply denominators once per call;
+``terms()``, ``coefficient()`` and rendering build the ``Fraction`` values.
+
 Sign conventions, fixed once for the whole package:
 
 * ``partial`` is the graded *left* derivative: pulling ``v`` out past a
@@ -31,6 +37,11 @@ Sign conventions, fixed once for the whole package:
   With this placement the bracket is graded antisymmetric and satisfies
   the graded Jacobi identity also on odd conjugate pairs, and composition
   with the identity generating function is neutral.
+
+  Writing ``P(f, g) = sum_i kappa_i dR f/dp_i * dL g/dq_i``, which is
+  bilinear, and ``-(-1)^{|f||g|} = -1 + 2 [f and g odd]``, the bracket of
+  inhomogeneous series is ``P(f, g) - P(g, f) + 2 P(g_odd, f_odd)``, with
+  ``f_odd`` the odd-degree part of ``f``.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from math import gcd, lcm, prod
 
 from .errors import (
     DegreeMismatch,
@@ -98,7 +110,8 @@ Monomial = tuple[tuple[Variable, int], ...]
 
 ONE: Monomial = ()
 
-SlotTerms = dict[tuple[int, ...], Fraction]
+# slot monomial -> integer numerator over the series' denominator
+SlotTerms = dict[tuple[int, ...], int]
 
 # Bit fields of a slot, least significant first: parity (1 bit), side (2),
 # kind (1, p before q), iterate (_K_BITS), then the rank of the orbit name.
@@ -161,6 +174,11 @@ def _odd(mono: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(s for s in mono if s & 1)
 
 
+def _odd_part(terms: SlotTerms) -> SlotTerms:
+    """The terms of odd degree: those with an odd number of odd letters."""
+    return {m: c for m, c in terms.items() if sum(s & 1 for s in m) & 1}
+
+
 def _koszul(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     """Sign of sorting the odd slots ``left + right``; 0 when one is shared."""
     sign = 1
@@ -212,12 +230,14 @@ class GradedSeries:
     """A finitely supported series over a shared orbit registry.
 
     Treated as immutable: all operations return fresh instances.  ``_terms``
-    maps slot monomials to nonzero coefficients.  The constructor and
-    ``coefficient`` take the letters of a monomial in any order and sort them
-    with the Koszul sign; a monomial repeating an odd letter is zero.
+    maps slot monomials to nonzero integer numerators over the positive
+    denominator ``_den``, with ``gcd(_den, *numerators) == 1``.  The
+    constructor and ``coefficient`` take the letters of a monomial in any
+    order and sort them with the Koszul sign; a monomial repeating an odd
+    letter is zero.
     """
 
-    __slots__ = ("registry", "truncation", "_terms")
+    __slots__ = ("registry", "truncation", "_terms", "_den")
 
     def __init__(self, registry: OrbitRegistry, truncation: int,
                  terms: dict[Monomial, Fraction] | None = None):
@@ -225,7 +245,7 @@ class GradedSeries:
             raise InvalidTruncation(f"truncation order must be positive, got {truncation}")
         self.registry = registry
         self.truncation = truncation
-        clean: SlotTerms = {}
+        clean: dict[tuple[int, ...], Fraction] = {}
         for mono, coeff in (terms or {}).items():
             letters, sign = _canonical(_slots(registry).letters(mono))
             if sign and _p_degree(letters) <= truncation:
@@ -234,14 +254,25 @@ class GradedSeries:
                     coeff += clean.pop(letters)
                 if coeff:
                     clean[letters] = coeff
-        self._terms = clean
+        # over the lcm of reduced fractions the numerators share no factor with it
+        self._den = den = lcm(*(c.denominator for c in clean.values()))
+        self._terms = {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
 
     @classmethod
     def _of_slots(cls, registry: OrbitRegistry, truncation: int,
-                  terms: SlotTerms) -> "GradedSeries":
-        """Series of truncated slot terms; zero coefficients are dropped."""
-        out = cls(registry, truncation)
-        out._terms = {m: c for m, c in terms.items() if c}
+                  terms: SlotTerms, den: int = 1) -> "GradedSeries":
+        """Series of truncated slot numerators over ``den > 0``, zeros dropped and reduced."""
+        out = cls.__new__(cls)
+        out.registry = registry
+        out.truncation = truncation
+        terms = {m: c for m, c in terms.items() if c}
+        if den > 1:
+            common = gcd(den, *terms.values())
+            if common > 1:
+                den //= common
+                terms = {m: c // common for m, c in terms.items()}
+        out._terms = terms
+        out._den = den
         return out
 
     # -- constructors ------------------------------------------------------
@@ -252,24 +283,24 @@ class GradedSeries:
 
     @classmethod
     def constant(cls, registry: OrbitRegistry, truncation: int, value) -> "GradedSeries":
-        return cls(registry, truncation, {ONE: Fraction(value)})
+        return cls(registry, truncation, {ONE: value})
 
     @classmethod
     def of(cls, registry: OrbitRegistry, truncation: int, variable: Variable,
            coeff=1) -> "GradedSeries":
-        return cls(registry, truncation, {((variable, 1),): Fraction(coeff)})
+        return cls(registry, truncation, {((variable, 1),): coeff})
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         # (letters, ((key, exp), ...)) order; slots sort like keys
-        var = _slots(self.registry)
+        var, den = _slots(self.registry), self._den
         ordered = sorted((len(m), _runs(m), c) for m, c in self._terms.items())
-        return [(tuple((var[s], e) for s, e in runs), c) for _, runs, c in ordered]
+        return [(tuple((var[s], e) for s, e in runs), Fraction(c, den)) for _, runs, c in ordered]
 
     def coefficient(self, mono: Monomial) -> Fraction:
         letters, sign = _canonical(_slots(self.registry).letters(mono))
-        return sign * self._terms.get(letters, Fraction(0))
+        return Fraction(sign * self._terms.get(letters, 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -293,7 +324,7 @@ class GradedSeries:
         buckets: dict[int, SlotTerms] = {}
         for mono, coeff in self._terms.items():
             buckets.setdefault(_degree(var, mono), {})[mono] = coeff
-        return {d: GradedSeries._of_slots(self.registry, self.truncation, t)
+        return {d: GradedSeries._of_slots(self.registry, self.truncation, t, self._den)
                 for d, t in sorted(buckets.items())}
 
     def render(self) -> str:
@@ -328,14 +359,18 @@ class GradedSeries:
             return NotImplemented
         return (self.registry == other.registry
                 and self.truncation == other.truncation
+                and self._den == other._den
                 and self._terms == other._terms)
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self._check_compatible(other)
-        terms = dict(self._terms)
+        common = gcd(self._den, other._den)
+        lift, other_lift = other._den // common, self._den // common
+        terms = dict(self._terms) if lift == 1 else {m: c * lift for m, c in self._terms.items()}
         for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, 0) + coeff
-        return GradedSeries._of_slots(self.registry, self.truncation, terms)
+            terms[mono] = terms.get(mono, 0) + coeff * other_lift
+        return GradedSeries._of_slots(self.registry, self.truncation, terms,
+                                      self._den * lift)
 
     def __sub__(self, other: "GradedSeries") -> "GradedSeries":
         return self + (-other)
@@ -345,8 +380,10 @@ class GradedSeries:
 
     def scale(self, value) -> "GradedSeries":
         value = Fraction(value)
+        num = value.numerator
         return GradedSeries._of_slots(self.registry, self.truncation,
-                                      {m: c * value for m, c in self._terms.items()})
+                                      {m: c * num for m, c in self._terms.items()},
+                                      self._den * value.denominator)
 
     def __mul__(self, other):
         if isinstance(other, GradedSeries):
@@ -359,7 +396,7 @@ class GradedSeries:
 
 def _add_product(terms: SlotTerms, a: SlotTerms, b: SlotTerms, truncation: int,
                  scale: int = 1) -> SlotTerms:
-    """Accumulate ``scale * a * b`` into ``terms``, truncated in total p-degree."""
+    """Accumulate the numerators of ``scale * a * b`` into ``terms``, truncated in p-degree."""
     right = [(m, c, _p_degree(m), _odd(m)) for m, c in b.items()]
     for mono_a, coeff_a in a.items():
         room = truncation - _p_degree(mono_a)
@@ -381,7 +418,7 @@ def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Supercommutative product, truncated in total p-degree."""
     f._check_compatible(g)
     terms = _add_product({}, f._terms, g._terms, f.truncation)
-    return GradedSeries._of_slots(f.registry, f.truncation, terms)
+    return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den * g._den)
 
 
 def _partial(terms: SlotTerms, slot: int, from_right: bool) -> SlotTerms:
@@ -399,13 +436,15 @@ def _partial(terms: SlotTerms, slot: int, from_right: bool) -> SlotTerms:
 def partial(f: GradedSeries, v: Variable) -> GradedSeries:
     """Graded left derivative with respect to ``v``."""
     slot = _slots(f.registry).slot(v)
-    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, False))
+    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, False),
+                                  f._den)
 
 
 def partial_right(f: GradedSeries, v: Variable) -> GradedSeries:
     """Graded right derivative with respect to ``v``."""
     slot = _slots(f.registry).slot(v)
-    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, True))
+    return GradedSeries._of_slots(f.registry, f.truncation, _partial(f._terms, slot, True),
+                                  f._den)
 
 
 def _conjugate_pairs(*series: GradedSeries) -> list[tuple[int, int]]:
@@ -414,28 +453,35 @@ def _conjugate_pairs(*series: GradedSeries) -> list[tuple[int, int]]:
     return [(p, p | _Q_BIT) for p in p_slots]
 
 
-def _add_pairing(terms: SlotTerms, left: GradedSeries, right: GradedSeries,
-                 pairs: list[tuple[int, int]], sign: int = 1) -> None:
-    """Accumulate ``sign * sum_i kappa_i dR left/dp_i * dL right/dq_i`` into ``terms``.
+def _add_pairing(terms: SlotTerms, left: SlotTerms, right: SlotTerms,
+                 pairs: list[tuple[int, int]], truncation: int, scale: int = 1) -> None:
+    """Accumulate ``scale * sum_i kappa_i dR left/dp_i * dL right/dq_i`` into ``terms``.
 
-    The kappa-weighted pairing shared by the Poisson bracket and the
-    Hamilton-Jacobi right side (``potentials.hamilton_jacobi_rhs``).
+    The kappa-weighted pairing of two numerator maps, shared by the Poisson
+    bracket and the Hamilton-Jacobi right side
+    (``potentials.hamilton_jacobi_rhs``); the caller owns the denominators.
     """
     for p, q in pairs:
-        _add_product(terms, _partial(left._terms, p, True), _partial(right._terms, q, False),
-                     left.truncation, sign * _kappa(p))
+        d_left = _partial(left, p, True)
+        if d_left:
+            _add_product(terms, d_left, _partial(right, q, False), truncation,
+                         scale * _kappa(p))
 
 
 def poisson_bracket(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Kappa-weighted graded Poisson bracket, extended bilinearly."""
+    """Kappa-weighted graded Poisson bracket, extended bilinearly.
+
+    ``P(f, g) - P(g, f) + 2 P(g_odd, f_odd)``; see the module docstring.
+    """
     f._check_compatible(g)
     pairs = _conjugate_pairs(f, g)
     terms: SlotTerms = {}
-    for df, fh in f.by_degree().items():
-        for dg, gh in g.by_degree().items():
-            _add_pairing(terms, fh, gh, pairs)
-            _add_pairing(terms, gh, fh, pairs, 1 if df * dg % 2 else -1)
-    return GradedSeries._of_slots(f.registry, f.truncation, terms)
+    _add_pairing(terms, f._terms, g._terms, pairs, f.truncation)
+    _add_pairing(terms, g._terms, f._terms, pairs, f.truncation, -1)
+    g_odd = _odd_part(g._terms)
+    if g_odd:
+        _add_pairing(terms, g_odd, _odd_part(f._terms), pairs, f.truncation, 2)
+    return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den * g._den)
 
 
 def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
@@ -447,10 +493,12 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     monomial's letters are multiplied in canonical monomial order, so the
     result is deterministic even for parity-breaking assignments (allowed
     only with ``check_degrees=False``).  Each power ``image**e`` is
-    computed once per call.
+    computed once per call.  The result has one denominator: ``f``'s
+    times ``d**top`` for each assigned letter, where ``d`` is the
+    denominator of its image and ``top`` its largest exponent in ``f``.
     """
     var = _slots(f.registry)
-    images: dict[int, SlotTerms] = {}
+    images: dict[int, GradedSeries] = {}
     for v, image in assignment.items():
         f._check_compatible(image)
         if check_degrees:
@@ -464,14 +512,22 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
             raise TruncationOverflow(
                 f"image of {v.render()} has a p-degree-zero term; "
                 f"truncated tails would leak below the cutoff")
-        images[var.slot(v)] = image._terms
+        images[var.slot(v)] = image
+    runs = {mono: _runs(mono) for mono in f._terms}
+    top: dict[int, int] = {}
+    for mono_runs in runs.values():
+        for slot, e in mono_runs:
+            if slot in images and e > top.get(slot, 0):
+                top[slot] = e
+    lift = prod(images[slot]._den ** e for slot, e in top.items())
     powers: dict[tuple[int, int], SlotTerms] = {}
     out_terms: SlotTerms = {}
     for mono, coeff in f._terms.items():
-        acc: SlotTerms = {(): coeff}
-        for slot, e in _runs(mono):
+        mono_den = prod(images[slot]._den ** e for slot, e in runs[mono] if slot in images)
+        acc: SlotTerms = {(): coeff * (lift // mono_den)}
+        for slot, e in runs[mono]:
             if (slot, e) not in powers:
-                power = base = images[slot] if slot in images else {(slot,): Fraction(1)}
+                power = base = images[slot]._terms if slot in images else {(slot,): 1}
                 for _ in range(e - 1):
                     power = _add_product({}, power, base, f.truncation)
                 powers[slot, e] = power
@@ -481,7 +537,7 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
                 break
         for m, c in acc.items():
             out_terms[m] = out_terms.get(m, 0) + c
-    return GradedSeries._of_slots(f.registry, f.truncation, out_terms)
+    return GradedSeries._of_slots(f.registry, f.truncation, out_terms, f._den * lift)
 
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .covers import BaseCurve, CoverSpec, cylinder_over
-from .errors import ConfigError, LocalSFTError
+from .errors import ConfigError, IterateOutOfRange, LocalSFTError
 from .exceptional import NeckConfiguration
 from .orbits import OrbitCollection, OrbitRegistry, ReebOrbit
 from .potentials import CountTable
@@ -220,6 +220,9 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
         )
     except ConfigError:
         raise
+    except IterateOutOfRange as exc:
+        # an over-large max_iterate keeps its own code; the line says where
+        raise IterateOutOfRange(f"line {lineno}: {exc}") from None
     except LocalSFTError as exc:
         raise ConfigError(str(exc), lineno)
     try:

@@ -7,7 +7,9 @@ admissible k.  A hyperbolic orbit carries the integer index ``cz1`` of
 the simple orbit and iterates additively, ``CZ(k) = k*cz1``.
 Rationality of ``theta`` is harmless as long as ``k*theta`` never lands
 on an integer, which is guaranteed for all ``k <= max_iterate`` by
-requiring the denominator of ``theta`` to exceed ``max_iterate``.
+requiring the denominator of ``theta`` to exceed ``max_iterate``.  The
+table is built at construction, so ``max_iterate`` is bounded by
+``MAX_ITERATE_BOUND``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .errors import BadOrbit, InvalidOrbit, InvalidVariable, IterateOutOfRange, 
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
+# largest accepted max_iterate of an elliptic orbit: the CZ table has that many entries
+MAX_ITERATE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,10 @@ class ReebOrbit:
                 raise InvalidOrbit(f"orbit {self.name}: rotation number must be positive")
             if self.max_iterate < 1:
                 raise InvalidOrbit(f"orbit {self.name}: max_iterate must be at least 1")
+            if self.max_iterate > MAX_ITERATE_BOUND:
+                raise IterateOutOfRange(
+                    f"orbit {self.name}: max_iterate {self.max_iterate} exceeds "
+                    f"MAX_ITERATE_BOUND={MAX_ITERATE_BOUND}")
             # denominator > max_iterate keeps k*theta off the integers for all
             # admissible k, so floor(k*theta) is unambiguous and CZ stays odd.
             if theta.denominator <= self.max_iterate:

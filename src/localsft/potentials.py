@@ -88,11 +88,11 @@ class CountTable:
         self.hypothesis_ok: dict[TableKey, bool] = {}
         for key, count in entries.items():
             key = (tuple(sorted(key[0])), tuple(sorted(key[1])))
-            self._validate_key(key)
+            spec = self._validate_key(key)
             if key in self.entries:
                 raise InadmissibleKey(f"duplicate table key {self._describe_key(key)}")
             self.entries[key] = Fraction(count)
-            self.hypothesis_ok[key] = self._check_hypotheses(key)
+            self.hypothesis_ok[key] = self._check_hypotheses(spec)
 
     def _describe_key(self, key: TableKey) -> str:
         return f"{_render_key(key[0])}|{_render_key(key[1])}"
@@ -118,7 +118,8 @@ class CountTable:
                 f"key {self._describe_key(key)}: sides imply different degrees {sorted(degrees)}")
         return CoverSpec(self.base, degrees.pop(), pos, neg)
 
-    def _validate_key(self, key: TableKey) -> None:
+    def _validate_key(self, key: TableKey) -> CoverSpec:
+        """The validated cover spec of a key; raises for an inadmissible key."""
         for side_key in key:
             counted: dict[tuple[str, int], int] = {}
             for name, k in side_key:
@@ -137,10 +138,12 @@ class CountTable:
                         f"its monomial vanishes and the weight is not invertible")
         spec = self._spec_for_key(key)
         validate_cover(spec)
+        return spec
 
-    def _check_hypotheses(self, key: TableKey) -> bool:
+    @staticmethod
+    def _check_hypotheses(spec: CoverSpec) -> bool:
         try:
-            cokernel_rank(self._spec_for_key(key))
+            cokernel_rank(spec)
         except HypothesesViolated:
             return False
         return True
@@ -299,7 +302,7 @@ def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
 
 def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
     terms = {m: c for m, c in series._terms.items() if len(m) <= order}
-    return GradedSeries._of_slots(series.registry, series.truncation, terms)
+    return GradedSeries._of_slots(series.registry, series.truncation, terms, series._den)
 
 
 def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
@@ -435,10 +438,11 @@ def hamilton_jacobi_rhs(h_plus: Potential, h_minus: Potential,
     hp._check_compatible(k)
     hm._check_compatible(k)
     pairs = _conjugate_pairs(hp, hm, k)
+    # both pairings over the one denominator hp * k * hm
     terms: SlotTerms = {}
-    _add_pairing(terms, hp, k, pairs)
-    _add_pairing(terms, k, hm, pairs)
-    return GradedSeries._of_slots(k.registry, k.truncation, terms)
+    _add_pairing(terms, hp._terms, k._terms, pairs, k.truncation, hm._den)
+    _add_pairing(terms, k._terms, hm._terms, pairs, k.truncation, hp._den)
+    return GradedSeries._of_slots(k.registry, k.truncation, terms, hp._den * k._den * hm._den)
 
 
 def lagrangian_restrict(g: GradedSeries, f_v: Potential) -> GradedSeries:

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -459,3 +461,124 @@ def test_constructor_sorts_odd_letters_with_their_sign():
     assert GradedSeries(REG, TRUNC, {((QB, 1), (QA, 1), (QB, 1)): 1}).is_zero()
     assert GradedSeries(REG, TRUNC, {((QB, 2),): 1}).is_zero()
     assert f.coefficient(((QB, 1), (QB, 1))) == 0
+
+
+# -- integer-numerator kernel against plain Fraction arithmetic ----------------
+
+PRIMES = [n for n in range(2, 98) if all(n % d for d in range(2, n))]
+
+prime_fractions = st.builds(lambda num, primes: Fraction(num, math.prod(primes)),
+                            st.integers(-60, 60).filter(bool),
+                            st.lists(st.sampled_from(PRIMES), max_size=3))
+
+
+def _prime_series(spec):
+    """Sum of terms; a paired term also adds ``whole - coeff``, so the two sum to an integer."""
+    out = GradedSeries.zero(REG, TRUNC)
+    for coeff, whole, paired, letters in spec:
+        for c in (coeff, whole - coeff) if paired else (coeff,):
+            term = const(c)
+            for i in letters:
+                term = multiply(term, S(SIDED_VARS[i]))
+            out = out + term
+    return out
+
+
+prime_series = st.lists(
+    st.tuples(prime_fractions, st.integers(-2, 2), st.booleans(),
+              st.lists(st.integers(0, len(SIDED_VARS) - 1), max_size=3)),
+    max_size=4).map(_prime_series)
+
+
+def _fraction_terms(series):
+    """The public terms as {expanded letters: Fraction}."""
+    return {tuple(v for v, e in mono for _ in range(e)): c for mono, c in series.terms()}
+
+
+def _fraction_product(a, b):
+    """Product of two {letters: Fraction} maps by the letter-list oracle, truncated in p."""
+    out = {}
+    for letters_a, coeff_a in a.items():
+        for letters_b, coeff_b in b.items():
+            letters, sign = _letter_list_product(letters_a + letters_b)
+            if letters is not None and sum(v.kind == "p" for v in letters) <= TRUNC:
+                out[letters] = out.get(letters, 0) + sign * coeff_a * coeff_b
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_substitute(f, images):
+    out = {}
+    for letters, coeff in f.items():
+        acc = {(): coeff}
+        for v in letters:
+            acc = _fraction_product(acc, images.get(v, {(v,): Fraction(1)}))
+        for m, c in acc.items():
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _fraction_sum(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=120, deadline=None)
+@given(prime_series, prime_series, prime_fractions,
+       st.dictionaries(st.integers(0, len(SIDED_VARS) - 1), prime_series, max_size=2))
+def test_integer_kernel_matches_fraction_oracle(f, g, c, images):
+    ff, gg = _fraction_terms(f), _fraction_terms(g)
+    assert _fraction_terms(multiply(f, g)) == _fraction_product(ff, gg)
+    assert poisson_bracket(f, g) == _reference_bracket(f, g)
+    assignment = {SIDED_VARS[i]: image for i, image in images.items()}
+    assert _fraction_terms(substitute(f, assignment, check_degrees=False)) == _fraction_substitute(
+        ff, {v: _fraction_terms(image) for v, image in assignment.items()})
+    assert _fraction_terms(f.scale(c)) == {m: x * c for m, x in ff.items()}
+    assert _fraction_terms(f + g) == _fraction_sum(ff, gg)
+    assert _fraction_terms(f - g) == _fraction_sum(ff, gg, -1)
+    # canonical form: equal series are equal however they were reached
+    assert f.scale(c).scale(1 / c) == f
+    assert (f + g) - g == f
+    for cancelled in (f - f, f + f.scale(-1), f.scale(0)):
+        assert cancelled.is_zero() and cancelled.render() == "0"
+        assert cancelled == GradedSeries.zero(REG, TRUNC)
+    for series in (f, multiply(f, g), f + g):
+        assert all(type(x) is Fraction for _, x in series.terms())
+        for mono, _ in series.terms():
+            assert type(series.coefficient(mono)) is Fraction
+    assert type(f.coefficient(((PB, 1), (PC, 1), (QA, 3)))) is Fraction
+
+
+def _odd_monomials():
+    """Monomials of up to three sided letters, grouped by odd degree."""
+    out = {}
+    for size in (1, 2, 3):
+        for letters in combinations_with_replacement(SIDED_VARS, size):
+            if any(v.odd and letters.count(v) > 1 for v in letters):
+                continue
+            degree = sum(v.degree for v in letters)
+            if degree % 2:
+                out.setdefault(degree, []).append(letters)
+    return out
+
+
+ODD_MONOMIALS = _odd_monomials()
+
+
+def _homogeneous(degree):
+    monos = ODD_MONOMIALS[degree]
+    return st.lists(st.tuples(prime_fractions, st.integers(0, len(monos) - 1)),
+                    min_size=1, max_size=3).map(lambda spec: GradedSeries(
+                        REG, TRUNC, {tuple((v, 1) for v in monos[i]): c for c, i in spec}))
+
+
+odd_degrees = st.sampled_from(sorted(d for d in ODD_MONOMIALS if -5 <= d <= 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_degrees.flatmap(_homogeneous), odd_degrees.flatmap(_homogeneous))
+def test_odd_odd_bracket_matches_slow_oracle(f, g):
+    # both odd: the bracket is P(f, g) + P(g, f), so the 2 P(g_odd, f_odd) term is all of P(g, f)
+    assert f.degree() % 2 == 1 and g.degree() % 2 == 1
+    assert poisson_bracket(f, g) == _reference_bracket(f, g)

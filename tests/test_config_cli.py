@@ -512,3 +512,12 @@ def test_readme_commands_run_on_the_shipped_example(line):
         code = main(argv)
     assert code == 0, err.getvalue()
     assert out.getvalue() and not err.getvalue()
+
+
+def test_max_iterate_above_the_bound_is_one_error_line(tmp_path):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("truncation 4\norbit g elliptic theta=1/1000001 max_iterate=1000000\n")
+    code, out, err = run_cli("--config", str(cfg), "cz")
+    assert (code, out) == (1, "")
+    assert err == ("error E_ITERATE_RANGE: line 2: orbit g: max_iterate 1000000 exceeds "
+                   "MAX_ITERATE_BOUND=10000\n")

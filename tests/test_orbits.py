@@ -13,6 +13,7 @@ from localsft.errors import BadOrbit, IterateOutOfRange
 from localsft.errors import InvalidCover, InvalidOrbit, InvalidVariable, LocalSFTError
 from localsft.errors import InvalidGenus, InvalidTable, NotHomogeneous
 from localsft.orbits import (
+    MAX_ITERATE_BOUND,
     OrbitCollection,
     OrbitRegistry,
     ReebOrbit,
@@ -281,3 +282,13 @@ def test_domain_errors_are_library_value_errors(build, error):
         build()
     assert isinstance(err.value, LocalSFTError)
     assert isinstance(err.value, ValueError)
+
+
+def test_max_iterate_is_bounded():
+    top = MAX_ITERATE_BOUND
+    assert len(elliptic(Fraction(1, top + 1), max_iterate=top).cz_table) == top
+    with pytest.raises(IterateOutOfRange) as err:
+        elliptic(Fraction(1, 10**6 + 1), max_iterate=10**6)
+    assert str(err.value) == f"orbit gamma: max_iterate 1000000 exceeds MAX_ITERATE_BOUND={top}"
+    with pytest.raises(IterateOutOfRange):
+        elliptic(Fraction(1, top + 2), max_iterate=top + 1)
