@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--profile", action="append",
                    help="comma-separated partition, repeatable")
-    p.add_argument("--branch-points", type=int, default=0)
+    p.add_argument("--branch-points", type=int, default=0,
+                   help=f"simple branch points, at most {cv.HURWITZ_BRANCH_POINT_BOUND}")
     p.set_defaults(fn=cmd_hurwitz)
 
     p = sub.add_parser("hamiltonian", parents=[common], help="orbit generating function + vanishing gate")

@@ -32,7 +32,7 @@ from .covers import BaseCurve, CoverSpec, cylinder_over
 from .errors import ConfigError, IterateOutOfRange, LocalSFTError
 from .exceptional import NeckConfiguration
 from .orbits import OrbitCollection, OrbitRegistry, ReebOrbit
-from .potentials import CountTable
+from .potentials import CountTable, _render_key
 
 DEFAULT_TRUNCATION = 8
 
@@ -103,6 +103,8 @@ def _parse_collection(text: str, registry: OrbitRegistry, sign: str,
             raise ConfigError(f"unknown orbit {name!r}", line, col)
         try:
             items.append(registry.get(name).iterate(k))
+        except IterateOutOfRange as exc:
+            raise IterateOutOfRange(f"line {line} col {col}: {exc}") from None
         except LocalSFTError as exc:
             raise ConfigError(str(exc), line, col)
     return OrbitCollection(tuple(items), sign=sign)
@@ -416,9 +418,7 @@ def render_config(doc: ConfigDocument) -> str:
         table = doc.tables[name]
         out.append(f"table {name} {table.context_kind}={table.context_name}")
         for (pos_key, neg_key), count in table.sorted_entries():
-            pos = "(" + ",".join(n if k == 1 else f"{n}^{k}" for n, k in pos_key) + ")"
-            neg = "(" + ",".join(n if k == 1 else f"{n}^{k}" for n, k in neg_key) + ")"
-            out.append(f"  {pos} {neg} {count}")
+            out.append(f"  {_render_key(pos_key)} {_render_key(neg_key)} {count}")
         out.append("end")
         out.append("")
     for name in sorted(doc.necks):

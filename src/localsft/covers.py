@@ -3,8 +3,9 @@
 Everything here is genus-zero: Riemann-Hurwitz ramification counts,
 Fredholm indices, unperturbed moduli dimensions, obstruction-bundle ranks,
 normal Chern numbers, two-level boundary stratification, and Hurwitz
-counts by the Frobenius character formula, with a symmetric-group
-enumerator kept as their oracle.
+counts as exponential sums in the number b of simple branch points, by
+the Frobenius character formula, with a symmetric-group enumerator kept
+as their oracle.
 
 Dimension conventions.  ``tangency_dimension`` reports the unperturbed
 count ``ind(base) + 2Z`` minus 2 per constrained branch point and records
@@ -17,7 +18,9 @@ point pinned to a special point already kills the translation.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -34,6 +37,7 @@ from .errors import (
 from .orbits import EMPTY_COLLECTION, OrbitCollection, ReebOrbit, cz_iterate
 
 HURWITZ_DEGREE_BOUND = 12
+HURWITZ_BRANCH_POINT_BOUND = 1000
 
 TOP_CYLINDER = "top-cylinder"
 MIDDLE = "middle"
@@ -592,30 +596,24 @@ def _check_hurwitz_input(d: int, end_profiles: list[tuple[int, ...]],
     if simple_branch_points < 0:
         raise InconsistentProfile(
             f"number of simple branch points must be non-negative, got {simple_branch_points}")
+    if simple_branch_points > HURWITZ_BRANCH_POINT_BOUND:
+        raise DegreeTooLarge(f"{simple_branch_points} simple branch points exceed "
+                             f"the bound {HURWITZ_BRANCH_POINT_BOUND}")
     for profile in end_profiles:
         if sum(profile) != d or min(profile) < 1:
             raise InconsistentProfile(f"profile {profile} is not a partition of {d}")
 
 
-def _class_size(mu: tuple[int, ...]) -> int:
-    """|C_mu| = d! / z_mu for a partition mu of d."""
-    z = 1
-    for part in set(mu):
-        m = mu.count(part)
-        z *= part ** m * factorial(m)
-    return factorial(sum(mu)) // z
-
-
-def _splits(mu: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _splits(mu: tuple[int, ...], s: int, memo: dict) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each sub-multiset nu of mu with |nu| = s, paired with its complement."""
-    parts = sorted(set(mu), reverse=True)
-    out = []
-    for takes in itertools.product(*(range(mu.count(p) + 1) for p in parts)):
-        if sum(t * p for t, p in zip(takes, parts)) == s:
-            nu = tuple(p for t, p in zip(takes, parts) for _ in range(t))
-            rho = tuple(p for t, p in zip(takes, parts) for _ in range(mu.count(p) - t))
-            out.append((nu, rho))
-    return out
+    key = ("splits", mu, s)
+    if key not in memo:
+        parts = sorted(set(mu), reverse=True)
+        memo[key] = [(tuple(p for t, p in zip(takes, parts) for _ in range(t)),
+                      tuple(p for t, p in zip(takes, parts) for _ in range(mu.count(p) - t)))
+                     for takes in itertools.product(*(range(mu.count(p) + 1) for p in parts))
+                     if sum(t * p for t, p in zip(takes, parts)) == s]
+    return memo[key]
 
 
 def _moving(mus) -> tuple[tuple[int, ...], ...]:
@@ -627,113 +625,82 @@ def _moving(mus) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(mu for mu in mus if mu[0] > 1))
 
 
-def _ramification(d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
-    return sum(d - len(mu) for mu in mus) + b
+@functools.cache
+def _character(beta: frozenset[int], mu: tuple[int, ...]) -> int:
+    """chi_lambda(mu) by Murnaghan-Nakayama on the beta-set of lambda.
 
-
-def _beta_set(lam: tuple[int, ...]) -> frozenset[int]:
-    """Bead positions lambda_i + len(lambda) - i of a partition."""
-    return frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam))
-
-
-class _FrobeniusCounts:
-    """Tuple counts of one ``hurwitz_count`` call, memoised for that call only.
-
-    ``disconnected(d, mus, b)`` counts tuples in S_d, one permutation of each
-    cycle type in ``mus`` and ``b`` transpositions, whose product is the
-    identity.  By the Frobenius formula it is
-    ``sum_lambda (dim lambda)^2 prod f_lambda(mu) / d!`` over the central
-    characters ``f_lambda(mu) = |C_mu| chi_lambda(mu) / dim lambda``.
-    ``connected`` keeps the tuples acting transitively.
+    Removing a rim hook of length r moves a bead from b to a free b - r;
+    its sign is the parity of the beads strictly between.
     """
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            between = sum(1 for c in beta if b - r < c < b)
+            total += (-1) ** between * _character(beta - {b} | {b - r}, rest)
+    return total
 
-    def __init__(self):
-        self._chars: dict = {}
-        self._central: dict = {}
-        self._disconnected: dict = {}
-        self._connected: dict = {}
-        self._partitions: dict = {}
-        self._splits: dict = {}
 
-    def character(self, beta: frozenset[int], mu: tuple[int, ...]) -> int:
-        """chi_lambda(mu) by Murnaghan-Nakayama on the beta-set of lambda.
+@functools.cache
+def _irreducibles(d: int) -> list[tuple[frozenset[int], int, int]]:
+    """(beta-set, dimension, content sum) of each irreducible character of S_d.
 
-        Removing a rim hook of length r moves a bead from b to a free b - r;
-        its sign is the parity of the beads strictly between.
-        """
-        if not mu:
-            return 1
-        key = (beta, mu)
-        if key not in self._chars:
-            r, rest = mu[0], mu[1:]
-            total = 0
-            for b in beta:
-                if b >= r and b - r not in beta:
-                    between = sum(1 for c in beta if b - r < c < b)
-                    total += (-1) ** between * self.character(beta - {b} | {b - r}, rest)
-            self._chars[key] = total
-        return self._chars[key]
+    The beads of lambda sit at lambda_i + len(lambda) - i.  Its content sum,
+    of j - i over the boxes (i, j), is the central character of a transposition.
+    """
+    out = []
+    for lam in _partitions(d):
+        beta = frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam))
+        out.append((beta, _character(beta, (1,) * d),
+                    sum(p * (p - 1) // 2 - i * p for i, p in enumerate(lam))))
+    return out
 
-    def partitions(self, d: int) -> list[tuple[int, ...]]:
-        if d not in self._partitions:
-            self._partitions[d] = _partitions(d)
-        return self._partitions[d]
 
-    def splits(self, mu: tuple[int, ...], s: int) -> list:
-        if (mu, s) not in self._splits:
-            self._splits[mu, s] = _splits(mu, s)
-        return self._splits[mu, s]
+def _disconnected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
+    """Tuples with identity product as ``{x: c}``, the count being ``sum c x^b / d!``.
 
-    def dim(self, lam: tuple[int, ...]) -> int:
-        return self.character(_beta_set(lam), (1,) * sum(lam))
+    A tuple holds one permutation of each cycle type in ``mus`` and b
+    transpositions.  By Frobenius, c sums ``(dim lambda)^2 prod f_lambda(mu)``
+    over the lambda of content sum x, with the central characters
+    ``f_lambda(mu) = |C_mu| chi_lambda(mu) / dim lambda``.  ``memo`` holds one call's tables.
+    """
+    key = ("disconnected", d, mus)
+    if key not in memo:
+        sizes = [factorial(d) // prod(p ** mu.count(p) * factorial(mu.count(p)) for p in set(mu))
+                 for mu in mus]  # |C_mu| = d! / z_mu
+        total = Counter()
+        for beta, dim, x in _irreducibles(d):
+            total[x] += dim ** 2 * prod(size * _character(beta, mu) // dim
+                                        for size, mu in zip(sizes, mus))
+        memo[key] = {x: c for x, c in total.items() if c}
+    return memo[key]
 
-    def central(self, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-        key = (lam, mu)
-        if key not in self._central:
-            chi = self.character(_beta_set(lam), mu)
-            self._central[key] = _class_size(mu) * chi // self.dim(lam)
-        return self._central[key]
 
-    def disconnected(self, d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
-        if (b and d < 2) or _ramification(d, mus, b) % 2:
-            return 0
-        key = (d, mus, b)
-        if key not in self._disconnected:
-            total = 0
-            for lam in self.partitions(d):
-                term = self.dim(lam) ** 2 * prod(self.central(lam, mu) for mu in mus)
-                if b:
-                    term *= self.central(lam, (2,) + (1,) * (d - 2)) ** b
-                total += term
-            self._disconnected[key] = total // factorial(d)
-        return self._disconnected[key]
+def _connected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
+    """``_disconnected`` for the tuples acting transitively.
 
-    def connected(self, d: int, mus: tuple[tuple[int, ...], ...], b: int) -> int:
-        """Transitive tuples: all tuples minus those where sheet 0 sees s < d sheets.
-
-        The orbit of sheet 0 is one of C(d-1, s-1) sets; each permutation
-        splits into cycles on it (type nu) and off it (type rho), and each
-        transposition lies on it or off it, C(b, j) choices of which j do.
-        A transitive tuple has even ramification of at least 2d - 2
-        (Riemann-Hurwitz, genus >= 0).
-        """
-        ramification = _ramification(d, mus, b)
-        if ramification % 2 or ramification < 2 * d - 2:
-            return 0
-        key = (d, mus, b)
-        if key not in self._connected:
-            total = self.disconnected(d, mus, b)
-            for s in range(1, d):
-                for split in itertools.product(*(self.splits(mu, s) for mu in mus)):
-                    nu = _moving(n for n, _ in split)
-                    rho = _moving(r for _, r in split)
-                    for j in range(b + 1):
-                        inner = self.connected(s, nu, j)
-                        if inner:
-                            total -= (comb(d - 1, s - 1) * comb(b, j) * inner
-                                      * self.disconnected(d - s, rho, b - j))
-            self._connected[key] = total
-        return self._connected[key]
+    All tuples minus those where sheet 0 sees s < d sheets.  The orbit of
+    sheet 0 is one of C(d-1, s-1) sets; each permutation splits into cycles
+    on it (type nu) and off it (type rho), and j of the b transpositions lie
+    on it.  As ``sum_j C(b, j) x^j y^(b-j) = (x + y)^b``, the sum over j has
+    bases x + y, and the scales s! and (d - s)! of its factors give C(d, s).
+    """
+    key = ("connected", d, mus)
+    if key not in memo:
+        total = Counter(_disconnected(d, mus, memo))
+        for s in range(1, d):
+            weight = comb(d, s) * comb(d - 1, s - 1)
+            splits = Counter((_moving(n for n, _ in split), _moving(r for _, r in split))
+                             for split in itertools.product(*(_splits(mu, s, memo) for mu in mus)))
+            for (nu, rho), k in splits.items():
+                off_orbit = _disconnected(d - s, rho, memo)
+                for x, a in _connected(s, nu, memo).items():
+                    for y, c in off_orbit.items():
+                        total[x + y] -= weight * k * a * c
+        memo[key] = {x: c for x, c in total.items() if c}
+    return memo[key]
 
 
 def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
@@ -742,13 +709,19 @@ def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
 
     Counts tuples of permutations in S_d, one of each requested cycle type
     plus one transposition per simple branch point, with identity product
-    and transitive joint action, weighted by 1/d!.  Computed exactly by the
-    Frobenius character formula and inclusion-exclusion over the orbit of
-    one sheet, for d up to ``HURWITZ_DEGREE_BOUND``.
+    and transitive joint action, weighted by 1/d!.  For d and b up to
+    ``HURWITZ_DEGREE_BOUND`` and ``HURWITZ_BRANCH_POINT_BOUND`` it is the
+    exponential sum ``sum_x c_x x^b / (d!)^2`` of ``_connected``, evaluated
+    exactly; a transitive tuple has even ramification of at least 2d - 2
+    (Riemann-Hurwitz, genus >= 0), so other counts are zero.
     """
     _check_hurwitz_input(d, end_profiles, simple_branch_points, HURWITZ_DEGREE_BOUND)
     mus = _moving(tuple(sorted(p, reverse=True)) for p in end_profiles)
-    return Fraction(_FrobeniusCounts().connected(d, mus, simple_branch_points), factorial(d))
+    ramification = sum(d - len(mu) for mu in mus) + simple_branch_points
+    if ramification % 2 or ramification < 2 * d - 2:
+        return Fraction(0)
+    return Fraction(sum(c * x ** simple_branch_points
+                        for x, c in _connected(d, mus, {}).items()), factorial(d) ** 2)
 
 
 # The symmetric-group enumerator below is the independent oracle that

@@ -50,7 +50,7 @@ class OddChern(LocalSFTError):
 
 
 class DegreeTooLarge(LocalSFTError):
-    """Hurwitz count requested above the supported degree bound."""
+    """Hurwitz count requested above its degree or branch-point bound."""
 
     code = "E_DEGREE_BOUND"
 

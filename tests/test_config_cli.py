@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from localsft.cli import main
 from localsft.config import parse_config, render_config
-from localsft.covers import HURWITZ_DEGREE_BOUND
+from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
 from localsft.errors import ConfigError
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "src" / "localsft" / "data" / "example.cfg"
@@ -238,6 +238,7 @@ def test_cylinder_neck_and_unordered_collection_roundtrip(tmp_path):
     ("hurwitz", "--degree", "0"),
     ("hurwitz", "--degree", "2", "--branch-points", "-1"),
     ("hurwitz", "--degree", "2", "--profile", "2,0"),
+    ("hurwitz", "--degree", "2", "--branch-points", "1001"),
     ("--config", str(EXAMPLE), "strata", "cyl_pair", "--max-codim", "-1"),
     ("--config", str(EXAMPLE), "cz", "--max-k", "0"),
 ])
@@ -298,6 +299,15 @@ def test_hurwitz_beyond_the_enumeration_degrees(d):
                              "--branch-points", str(d - 1), "--format", "records")
     assert (code, err) == (0, "")
     assert out == f"degree={d}\tprofiles={d}\tbranch_points={d - 1}\tcount={d ** (d - 3)}\n"
+
+
+def test_hurwitz_at_the_branch_point_bound():
+    # a numerator of about 1,800 digits, printed in full
+    b = HURWITZ_BRANCH_POINT_BOUND
+    code, out, err = run_cli("hurwitz", "--degree", "12", "--branch-points", str(b),
+                             "--format", "records")
+    assert (code, err) == (0, "")
+    assert out == f"degree=12\tprofiles=-\tbranch_points={b}\tcount={hurwitz_count(12, [], b)}\n"
 
 
 def test_iterate_zero_in_a_collection_is_a_parse_error():
@@ -521,3 +531,13 @@ def test_max_iterate_above_the_bound_is_one_error_line(tmp_path):
     assert (code, out) == (1, "")
     assert err == ("error E_ITERATE_RANGE: line 2: orbit g: max_iterate 1000000 exceeds "
                    "MAX_ITERATE_BOUND=10000\n")
+
+
+def test_iterate_beyond_max_iterate_in_a_collection_keeps_its_code(tmp_path):
+    # the same error code and exit status as an orbit's own bound, not a parse error
+    cfg = tmp_path / "beyond.cfg"
+    cfg.write_text("orbit g elliptic theta=3/10 max_iterate=4\n"
+                   "cover c base=cyl:g degree=5 pos=(g^5) neg=(g^5)\n")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, out) == (1, "")
+    assert err == "error E_ITERATE_RANGE: line 2 col 29: g^5: beyond declared bound max_iterate=4\n"

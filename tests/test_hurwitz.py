@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localsft.covers import HURWITZ_DEGREE_BOUND, hurwitz_count
+from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
 from localsft.covers import ENUMERATION_DEGREE_BOUND, _hurwitz_by_enumeration
 from localsft.errors import DegreeTooLarge, InconsistentProfile
 
@@ -172,10 +172,26 @@ def test_character_formula_matches_enumeration(case):
     assert hurwitz_count(d, profiles, b) == _hurwitz_by_enumeration(d, profiles, b)
 
 
-@pytest.mark.parametrize("d", range(7, 11))
+@pytest.mark.parametrize("d", range(7, 13))
 def test_closed_forms_beyond_enumeration(d):
     # polynomial covers (Hurwitz / Cayley) and all-simple genus-zero covers
     assert d > ENUMERATION_DEGREE_BOUND
     assert hurwitz_count(d, [(d,)], d - 1) == d ** (d - 3)
     assert hurwitz_count(d, [], 2 * d - 2) == Fraction(
         factorial(2 * d - 2) * d ** (d - 3), factorial(d))
+
+
+def test_simple_branching_in_degrees_two_and_three_up_to_the_bound():
+    """Exact counts of b transpositions alone, for every b up to the bound.
+
+    In S_2 the one transposition repeated b times has identity product for
+    even b and is transitive.  In S_3, for even b, the first b - 1 of the
+    transpositions are free, 3^(b-1) choices, and their odd product is the
+    transposition that closes the tuple; the tuple is transitive unless all
+    b are equal, which 3 tuples are.  Odd b leaves an odd product, and
+    b = 0 the identity cover of a disconnected domain, so both count 0.
+    """
+    for b in range(HURWITZ_BRANCH_POINT_BOUND + 1):
+        even = b >= 2 and b % 2 == 0
+        assert hurwitz_count(2, [], b) == (Fraction(1, 2) if even else 0), b
+        assert hurwitz_count(3, [], b) == (Fraction(3 ** (b - 1) - 3, 6) if even else 0), b
