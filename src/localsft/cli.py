@@ -18,7 +18,7 @@ from . import exceptional as ex
 from . import potentials as pt
 from .config import ConfigDocument, parse_config, render_config
 from .errors import HYPOTHESIS_ERRORS, ConfigError, LocalSFTError
-from .orbits import cz_defect, cz_iterate, is_good, variable_degree
+from .orbits import OrbitRegistry, cz_defect, cz_iterate, is_good, variable_degree
 
 
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -56,12 +56,11 @@ def _load_config(args) -> ConfigDocument:
     return doc
 
 
-def _lookup(items: dict, what: str, name: str):
-    """The named config item, or a ConfigError naming what is unknown."""
-    try:
-        return items[name]
-    except KeyError:
-        raise ConfigError(f"unknown {what} {name!r}") from None
+def _lookup(items: dict | OrbitRegistry, what: str, name: str):
+    """The named config item or orbit, or a ConfigError naming what is unknown."""
+    if name not in items:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return items.get(name)
 
 
 def _require_at_least(flag: str, value: int, low: int) -> None:
@@ -80,7 +79,7 @@ def cmd_cz(args) -> int:
     names = args.orbits or [o.name for o in doc.registry.orbits()]
     rows = []
     for name in names:
-        orbit = doc.registry.get(name)
+        orbit = _lookup(doc.registry, "orbit", name)
         top = orbit.max_iterate if orbit.elliptic else args.max_k
         for k in range(1, top + 1):
             it = orbit.iterate(k)
@@ -201,7 +200,7 @@ def cmd_compose(args) -> int:
     middle_names = set(args.middle.split(","))
     iterates = []
     for name in sorted(middle_names):
-        orbit = doc.registry.get(name)
+        orbit = _lookup(doc.registry, "orbit", name)
         top = orbit.max_iterate if orbit.elliptic else args.max_k
         iterates.extend(it for it in map(orbit.iterate, range(1, top + 1)) if is_good(it))
     result = pt.compose_sharp(

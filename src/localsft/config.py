@@ -54,15 +54,6 @@ class ConfigDocument:
         except KeyError:
             raise KeyError(f"unknown curve {name!r}") from None
 
-    def __eq__(self, other):
-        return (isinstance(other, ConfigDocument)
-                and self.truncation == other.truncation
-                and self.registry == other.registry
-                and self.curves == other.curves
-                and self.covers == other.covers
-                and self.tables == other.tables
-                and self.necks == other.necks)
-
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
     try:

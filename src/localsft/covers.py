@@ -14,6 +14,9 @@ automorphisms when there are fewer than three special points) in a note
 instead of silently subtracting them.  Virtual dimensions subtract the
 translation quotient only for unconstrained cylinder covers; a marked
 point pinned to a special point already kills the translation.
+
+A ``CoverSpec`` validates once and caches its ramification and index;
+every number above is read from those two.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -96,7 +99,9 @@ class CoverSpec:
 
     All ``marked_points`` are pinned to special points of the base;
     ``constrained_branch_points`` of them are additionally required to be
-    branch points.
+    branch points.  ``ramification`` and ``index`` are computed on first
+    use and cached outside the fields, so ``==``, ``hash`` and ``repr``
+    never see them.
     """
 
     base: BaseCurve
@@ -121,6 +126,19 @@ class CoverSpec:
     def ends(self, side: str) -> OrbitCollection:
         return self.positive_ends if side == "positive" else self.negative_ends
 
+    @functools.cached_property
+    def ramification(self) -> int:
+        """Riemann-Hurwitz count of a connected cover, unchecked."""
+        return self.degree * (2 - self.base.punctures) - (2 - self.punctures)
+
+    @functools.cached_property
+    def index(self) -> int:
+        """Fredholm index of a connected cover; validates the spec once."""
+        validate_cover(self)
+        return (self.punctures - 2 + self.degree * self.base.rel_c1_doubled
+                + sum(cz_iterate(it.orbit, it.k) for it in self.positive_ends)
+                - sum(cz_iterate(it.orbit, it.k) for it in self.negative_ends))
+
     def describe(self) -> str:
         tag = f"M[{self.base.name},{self.degree}]"
         if self.constrained_branch_points:
@@ -140,21 +158,15 @@ def validate_cover(spec: CoverSpec) -> None:
             raise InconsistentProfile(
                 f"{spec.describe()}: {side} ends {cover_profile} do not cover the "
                 f"base profile {base_profile} with degree {spec.degree}")
-    if branch_count_unchecked(spec) < 0:
+    if spec.ramification < 0:
         raise InconsistentProfile(
             f"{spec.describe()}: negative total ramification")
 
 
-def branch_count_unchecked(spec: CoverSpec, components: int = 1) -> int:
-    s_base = spec.base.punctures
-    s_cover = spec.punctures
-    return spec.degree * (2 - s_base) - (2 * components - s_cover)
-
-
 def branch_count(spec: CoverSpec) -> int:
     """Total interior ramification from Riemann-Hurwitz (with multiplicity)."""
-    validate_cover(spec)
-    return branch_count_unchecked(spec)
+    spec.index  # validates the spec once
+    return spec.ramification
 
 
 def fredholm_index(spec: CoverSpec, components: int = 1) -> int:
@@ -162,13 +174,10 @@ def fredholm_index(spec: CoverSpec, components: int = 1) -> int:
 
     Genus-zero formula in dimension four: minus the Euler characteristic,
     plus the index sums of the ends, plus the degree-scaled doubled
-    relative Chern number of the base.
+    relative Chern number of the base.  Each further component raises the
+    Euler characteristic by two.
     """
-    validate_cover(spec)
-    chi = 2 * components - spec.punctures
-    return (-chi + spec.degree * spec.base.rel_c1_doubled
-            + sum(cz_iterate(it.orbit, it.k) for it in spec.positive_ends)
-            - sum(cz_iterate(it.orbit, it.k) for it in spec.negative_ends))
+    return spec.index - 2 * (components - 1)
 
 
 def virtual_dimension(spec: CoverSpec, components: int = 1) -> int:
@@ -180,11 +189,7 @@ def virtual_dimension(spec: CoverSpec, components: int = 1) -> int:
     translation quotiented; a pinned special point on the cylinder fixes
     the translation, so nothing is subtracted in the constrained case.
     """
-    return _virtual_dim(spec, fredholm_index(spec, components))
-
-
-def _virtual_dim(spec: CoverSpec, index: int) -> int:
-    dim = index - 2 * spec.constrained_branch_points
+    dim = fredholm_index(spec, components) - 2 * spec.constrained_branch_points
     if is_orbit_cylinder(spec.base) and spec.marked_points == 0:
         dim -= 1
     return dim
@@ -220,13 +225,9 @@ def cokernel_rank(spec: CoverSpec) -> int:
 
     Valid when the base is immersed, all asymptotics are elliptic (or the
     base is an orbit cylinder, where no ellipticity is needed), and the
-    index does not exceed the unperturbed dimension bound.
+    index does not exceed the unperturbed dimension bound.  Marked points
+    do not enter: the bound and the index are those of the unmarked cover.
     """
-    return _obstruction_rank(spec)
-
-
-def _obstruction_rank(spec: CoverSpec, ind: int | None = None) -> int:
-    """``cokernel_rank`` (marked points ignored); pass ``ind`` once ``spec`` is validated."""
     if not spec.base.immersed:
         raise HypothesesViolated(f"{spec.describe()}: base not immersed")
     if not is_orbit_cylinder(spec.base):
@@ -236,9 +237,8 @@ def _obstruction_rank(spec: CoverSpec, ind: int | None = None) -> int:
             raise HypothesesViolated(
                 f"{spec.describe()}: non-elliptic asymptotics {bad} outside the "
                 f"orbit-cylinder case")
-    if ind is None:
-        ind = fredholm_index(spec)
-    bound = spec.base.index + 2 * branch_count_unchecked(spec)
+    ind = spec.index
+    bound = spec.base.index + 2 * spec.ramification
     if ind > bound:
         raise HypothesesViolated(
             f"{spec.describe()}: index {ind} exceeds the unperturbed dimension "
@@ -260,7 +260,7 @@ def normal_chern_numbers(spec: CoverSpec) -> NormalChernRecord:
     asymptotic iterates with even index; ``c_1(N) = c_N - 2 Z``.  A negative
     adjusted Chern number forces the normal deformation kernel to vanish.
     """
-    ind = fredholm_index(spec)
+    ind = spec.index
     gamma0 = sum(1 for it in (*spec.positive_ends, *spec.negative_ends)
                  if cz_iterate(it.orbit, it.k) % 2 == 0)
     doubled = ind - 2 + gamma0
@@ -269,7 +269,7 @@ def normal_chern_numbers(spec: CoverSpec) -> NormalChernRecord:
             f"{spec.describe()}: ind - 2 + #Gamma_0 = {doubled} is odd; "
             f"index and even-end count are inconsistent")
     c_n = doubled // 2
-    adjusted = c_n - 2 * branch_count(spec)
+    adjusted = c_n - 2 * spec.ramification
     return NormalChernRecord(doubled, adjusted, adjusted < 0)
 
 
@@ -400,10 +400,10 @@ def _node_id(spec: CoverSpec, components: int, level: str) -> str:
 def _make_node(spec: CoverSpec, components: int, level: str,
                node_id: str) -> StratumNode | None:
     """Annotated stratum node, or None when no such cover exists at all."""
-    z = branch_count_unchecked(spec, components)
+    z = spec.ramification - 2 * (components - 1)
     if z < 0:
         return None
-    ind = fredholm_index(spec, components)  # validates the node once
+    ind = fredholm_index(spec, components)  # validates each spec once
     unperturbed = None
     rank = None
     empty = False
@@ -415,7 +415,7 @@ def _make_node(spec: CoverSpec, components: int, level: str,
             unperturbed = None
         elif components == 1:
             try:
-                rank = _obstruction_rank(spec, ind)
+                rank = cokernel_rank(spec)
             except HypothesesViolated:
                 rank = None
     return StratumNode(
@@ -424,7 +424,7 @@ def _make_node(spec: CoverSpec, components: int, level: str,
         components=components,
         level=level,
         index=ind,
-        virtual_dim=_virtual_dim(spec, ind),
+        virtual_dim=virtual_dimension(spec, components),
         unperturbed_dim=unperturbed,
         obstruction_rank=rank,
         empty=empty,
@@ -436,7 +436,7 @@ def _is_trivial_cylinder_level(spec: CoverSpec, components: int) -> bool:
         return False
     if spec.marked_points or spec.constrained_branch_points:
         return False
-    return (branch_count_unchecked(spec, components) == 0
+    return (spec.ramification == 2 * (components - 1)
             and spec.positive_ends.key() == spec.negative_ends.key()
             and components == len(spec.positive_ends))
 
@@ -476,20 +476,23 @@ def _glue(spec: CoverSpec, upper: CoverSpec, lower: CoverSpec,
     component counts run upward on ``upper``, or on ``lower`` when
     ``lower_first``, which fixes the edge order.
     """
+    placements = _marked_placements(spec.marked_points, spec.constrained_branch_points)
     for middle in middles:
-        glued = [(replace(upper, negative_ends=OrbitCollection(
+        glued = [(CoverSpec(upper.base, upper.degree, upper.positive_ends, OrbitCollection(
                       upper.negative_ends.items + middle.items, sign="negative")), levels[0]),
-                 (replace(lower, positive_ends=OrbitCollection(
-                      lower.positive_ends.items + middle.items, sign="positive")), levels[1])]
+                 (CoverSpec(lower.base, lower.degree, OrbitCollection(
+                      lower.positive_ends.items + middle.items, sign="positive"),
+                      lower.negative_ends), levels[1])]
         if lower_first:
             glued.reverse()
         (first, first_level), (second, second_level) = glued
         first_bound = _component_bound_for_base_cover(first)
         second_bound = _component_bound_for_base_cover(second)
-        for r_first, c_first, r_second, c_second in _marked_placements(
-                spec.marked_points, spec.constrained_branch_points):
-            a = replace(first, marked_points=r_first, constrained_branch_points=c_first)
-            b = replace(second, marked_points=r_second, constrained_branch_points=c_second)
+        for r_first, c_first, r_second, c_second in placements:
+            a = CoverSpec(first.base, first.degree, first.positive_ends, first.negative_ends,
+                          r_first, c_first)
+            b = CoverSpec(second.base, second.degree, second.positive_ends,
+                          second.negative_ends, r_second, c_second)
             for n_a in range(1, first_bound + 1):
                 n_b = len(middle) + 1 - n_a
                 if not 1 <= n_b <= second_bound:
@@ -514,8 +517,8 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
                          _mixed_profiles(orbits, spec.degree), (MIDDLE, MIDDLE))
     elif is_orbit_cylinder(spec.base):
         orbit = spec.base.positive_ends.items[0].orbit
-        yield from _glue(spec, replace(spec, negative_ends=EMPTY_COLLECTION),
-                         replace(spec, positive_ends=EMPTY_COLLECTION),
+        yield from _glue(spec, CoverSpec(spec.base, spec.degree, spec.positive_ends),
+                         CoverSpec(spec.base, spec.degree, negative_ends=spec.negative_ends),
                          end_profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
     else:
         for side in ("positive", "negative"):
@@ -523,14 +526,16 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
             # the simple orbits of this side, in name order
             for orbit in {it.orbit.name: it.orbit for it in spec.base.ends(side)}.values():
                 active = tuple(it for it in ends if it.orbit.name == orbit.name)
-                rest = tuple(it for it in ends if it.orbit.name != orbit.name)
-                main = replace(spec, **{f"{side}_ends": OrbitCollection(rest, sign=side)})
+                rest = OrbitCollection(tuple(it for it in ends if it.orbit.name != orbit.name),
+                                       sign=side)
                 cyl = CoverSpec(cylinder_over(orbit), sum(it.k for it in active),
                                 **{f"{side}_ends": OrbitCollection(active, sign=side)})
                 middles = end_profiles(orbit, cyl.degree)
                 if side == "positive":
+                    main = CoverSpec(spec.base, spec.degree, rest, spec.negative_ends)
                     yield from _glue(spec, cyl, main, middles, (TOP_CYLINDER, MIDDLE))
                 else:
+                    main = CoverSpec(spec.base, spec.degree, spec.positive_ends, rest)
                     yield from _glue(spec, main, cyl, middles, (MIDDLE, BOTTOM_CYLINDER),
                                      lower_first=True)
 
@@ -544,7 +549,7 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     curves with a declared neck) count as one step and are tagged "neck";
     ordinary two-level splittings are tagged "sft".
     """
-    validate_cover(spec)
+    spec.index  # validates the root once
     root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))  # not None once validated
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
     seen_edges: set[tuple] = set()

@@ -200,8 +200,6 @@ def recursion_pipeline(spec: DescendantSpec) -> PipelineResult:
         raise PipelineHypothesis(
             "the recursion is implemented for the two-fold cover with a single "
             "branching-constrained marked point")
-    if any(j > 1 for j in spec.branching_orders):
-        raise PipelineHypothesis("branching orders above 1 are unsupported")
     try:
         inv = exceptional_invariants(spec.base)
     except NotExceptional as exc:
@@ -369,8 +367,7 @@ class SplittingEquations:
 
 def _moduli_symbol(spec: CoverSpec) -> ModuliSymbol:
     try:
-        rank = cokernel_rank(
-            CoverSpec(spec.base, spec.degree, spec.positive_ends, spec.negative_ends))
+        rank = cokernel_rank(spec)
     except HypothesesViolated:
         rank = None
     return ModuliSymbol(

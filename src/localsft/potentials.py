@@ -33,7 +33,7 @@ from .algebra import (
     reside,
     substitute,
 )
-from .covers import BaseCurve, CoverSpec, cokernel_rank, cylinder_over, validate_cover
+from .covers import BaseCurve, CoverSpec, cokernel_rank, cylinder_over
 from .errors import (
     HypothesesViolated,
     InadmissibleKey,
@@ -52,10 +52,6 @@ from .orbits import (
 
 CollectionKey = tuple[tuple[str, int], ...]
 TableKey = tuple[CollectionKey, CollectionKey]
-
-
-def _collection_from_key(key: CollectionKey, registry: OrbitRegistry) -> OrbitCollection:
-    return OrbitCollection(tuple(registry.get(name).iterate(k) for name, k in key))
 
 
 def _render_key(key: CollectionKey) -> str:
@@ -97,9 +93,28 @@ class CountTable:
     def _describe_key(self, key: TableKey) -> str:
         return f"{_render_key(key[0])}|{_render_key(key[1])}"
 
-    def _spec_for_key(self, key: TableKey) -> CoverSpec:
-        pos = _collection_from_key(key[0], self.registry)
-        neg = _collection_from_key(key[1], self.registry)
+    def _validate_key(self, key: TableKey) -> CoverSpec:
+        """The validated cover spec of a sorted key; raises for an inadmissible key."""
+        sides = []
+        for side_key in key:
+            for name, _ in side_key:
+                if name not in self.registry:
+                    raise InadmissibleKey(f"unknown orbit {name!r} in table key")
+            items: list[OrbitIterate] = []
+            for (name, k), copies in itertools.groupby(side_key):
+                it = self.registry.get(name).iterate(k)
+                if not is_good(it):
+                    raise InadmissibleKey(
+                        f"key {self._describe_key(key)}: bad iterate {it.name} carries "
+                        f"no variables")
+                times = len(list(copies))
+                if times > 1 and variable_degree(it, "q") % 2 == 1:
+                    raise InadmissibleKey(
+                        f"key {self._describe_key(key)}: odd iterate {it.name} repeats; "
+                        f"its monomial vanishes and the weight is not invertible")
+                items += [it] * times
+            sides.append(OrbitCollection(tuple(items)))
+        pos, neg = sides
         degrees = set()
         for side, coll in (("positive", pos), ("negative", neg)):
             base_total = self.base.ends(side).total_multiplicity()
@@ -116,28 +131,8 @@ class CountTable:
         if len(degrees) > 1:
             raise InadmissibleKey(
                 f"key {self._describe_key(key)}: sides imply different degrees {sorted(degrees)}")
-        return CoverSpec(self.base, degrees.pop(), pos, neg)
-
-    def _validate_key(self, key: TableKey) -> CoverSpec:
-        """The validated cover spec of a key; raises for an inadmissible key."""
-        for side_key in key:
-            counted: dict[tuple[str, int], int] = {}
-            for name, k in side_key:
-                if name not in self.registry:
-                    raise InadmissibleKey(f"unknown orbit {name!r} in table key")
-                counted[(name, k)] = counted.get((name, k), 0) + 1
-            for (name, k), times in counted.items():
-                it = self.registry.get(name).iterate(k)
-                if not is_good(it):
-                    raise InadmissibleKey(
-                        f"key {self._describe_key(key)}: bad iterate {it.name} carries "
-                        f"no variables")
-                if times > 1 and variable_degree(it, "q") % 2 == 1:
-                    raise InadmissibleKey(
-                        f"key {self._describe_key(key)}: odd iterate {it.name} repeats; "
-                        f"its monomial vanishes and the weight is not invertible")
-        spec = self._spec_for_key(key)
-        validate_cover(spec)
+        spec = CoverSpec(self.base, degrees.pop(), pos, neg)
+        spec.index  # validates the spec once
         return spec
 
     @staticmethod

@@ -267,6 +267,18 @@ def test_negative_numeric_arguments_are_parse_errors(argv):
     assert re.fullmatch(r"error E_PARSE: [^\n]+\n", err), err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("cz", "nosuch"), "nosuch"),
+    (("cz", "gamma", "nosuch"), "nosuch"),
+    (("compose", "F_vminus", "F_vminus", "--middle", "nosuch"), "nosuch"),
+    (("compose", "F_vminus", "F_vminus", "--middle", ","), ""),
+], ids=["cz", "cz-second-name", "compose", "compose-empty-name"])
+def test_unknown_orbit_names_are_parse_errors(argv, name):
+    # like every other unknown name on the command line
+    code, out, err = run_cli("--config", str(EXAMPLE), *argv)
+    assert (code, out, err) == (2, "", f"error E_PARSE: unknown orbit {name!r}\n")
+
+
 def test_zero_truncation_keeps_the_config_value():
     assert run_cli("--config", str(EXAMPLE), "--truncation", "0", "potential", "F_vminus") \
         == run_cli("--config", str(EXAMPLE), "potential", "F_vminus")

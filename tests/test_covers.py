@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localsft import covers
 from localsft.covers import (
     BaseCurve,
     CoverSpec,
@@ -466,3 +468,170 @@ def test_strata_satisfy_gluing_invariants(case):
         else:
             assert drop == (_unmarked_cylinder(upper) + _unmarked_cylinder(lower)
                             - _unmarked_cylinder(parent))
+
+
+# -- codimension-one strata against brute force --------------------------------
+
+
+def _multisets(orbit, total):
+    """Every multiset of iterates of ``orbit`` whose multiplicities sum to ``total``."""
+    ks = range(1, total + 1)
+    return [[orbit.iterate(k) for k, times in zip(ks, counts) for _ in range(times)]
+            for counts in itertools.product(*(range(total // k + 1) for k in ks))
+            if sum(k * times for k, times in zip(ks, counts)) == total]
+
+
+def _level_shapes(spec, neck):
+    """The two levels a splitting of ``spec`` can have, before the middle is chosen.
+
+    Each shape is ``((base, degree, positive ends, negative ends, level) of
+    the upper and of the lower level, orbits crossing the middle, their total
+    multiplicity)``; the middle joins the upper level's negative ends and the
+    lower level's positive ends.
+    """
+    d, pos, neg = spec.degree, list(spec.positive_ends), list(spec.negative_ends)
+    if spec.base.closed:
+        return [((neck.side_plus, d, [], [], "middle"), (neck.side_minus, d, [], [], "middle"),
+                 neck.orbits, d)]
+    if is_orbit_cylinder(spec.base):
+        return [((spec.base, d, pos, [], "top-cylinder"),
+                 (spec.base, d, [], neg, "bottom-cylinder"),
+                 (spec.base.positive_ends.items[0].orbit,), d)]
+    shapes = []
+    for it in spec.base.positive_ends:
+        active = [e for e in pos if e.orbit.name == it.orbit.name]
+        rest = [e for e in pos if e.orbit.name != it.orbit.name]
+        m = sum(e.k for e in active)
+        shapes.append(((cylinder_over(it.orbit), m, active, [], "top-cylinder"),
+                       (spec.base, d, rest, neg, "middle"), (it.orbit,), m))
+    for it in spec.base.negative_ends:
+        active = [e for e in neg if e.orbit.name == it.orbit.name]
+        rest = [e for e in neg if e.orbit.name != it.orbit.name]
+        m = sum(e.k for e in active)
+        shapes.append(((spec.base, d, pos, rest, "middle"),
+                       (cylinder_over(it.orbit), m, [], active, "bottom-cylinder"),
+                       (it.orbit,), m))
+    return shapes
+
+
+def _key(items):
+    return tuple(sorted((it.orbit.name, it.k) for it in items))
+
+
+def _level_exists(base, degree, pos, neg, marked, n, level):
+    """An n-component genus-zero cover level, not a union of trivial cylinders."""
+    z = degree * (2 - base.punctures) - (2 * n - len(pos) - len(neg))
+    ends_over_each_puncture = all(
+        sum(e.orbit.name == it.orbit.name for e in ends) >= n
+        for base_ends, ends in ((base.positive_ends, pos), (base.negative_ends, neg))
+        for it in base_ends)
+    trivial = (level.endswith("cylinder") and marked == 0
+               and len(pos) == len(neg) == n and _key(pos) == _key(neg))
+    return z >= 0 and ends_over_each_puncture and not trivial
+
+
+def _codim_one_by_brute_force(spec, neck):
+    r, c = spec.marked_points, spec.constrained_branch_points
+    edges = set()
+    for upper, lower, orbits, total in _level_shapes(spec, neck):
+        for blocks in itertools.product(*(_multisets(o, total) for o in orbits)):
+            middle = [it for block in blocks for it in block]
+            for r_up, c_up in itertools.product(range(r + 1), range(c + 1)):
+                if c_up > r_up or c - c_up > r - r_up:
+                    continue
+                for n_up, n_low in itertools.product(range(1, upper[1] + 1),
+                                                     range(1, lower[1] + 1)):
+                    if n_up + n_low != len(middle) + 1:
+                        continue
+                    (ub, ud, up_pos, up_neg, ul), (lb, ld, low_pos, low_neg, ll) = upper, lower
+                    up = (ub, ud, up_pos, up_neg + middle, r_up, n_up, ul)
+                    low = (lb, ld, low_pos + middle, low_neg, r - r_up, n_low, ll)
+                    if _level_exists(*up) and _level_exists(*low):
+                        edges.add(((ub.name, ud, _key(up[2]), _key(up[3]), r_up, c_up, n_up, ul),
+                                   (lb.name, ld, _key(low[2]), _key(low[3]), r - r_up, c - c_up,
+                                    n_low, ll),
+                                   _key(middle), "neck" if spec.base.closed else "sft"))
+    return edges
+
+
+def _descriptor(node):
+    spec = node.spec
+    return (spec.base.name, spec.degree, spec.positive_ends.key(), spec.negative_ends.key(),
+            spec.marked_points, spec.constrained_branch_points, node.components, node.level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strata_cases())
+def test_codim_one_strata_match_brute_force(case):
+    # catches a missing or an extra splitting, which the invariants above cannot see
+    spec, neck = case
+    graph = boundary_strata(spec, neck=neck, max_codim=1)
+    got = [(_descriptor(graph.nodes[e.upper]), _descriptor(graph.nodes[e.lower]),
+            e.middle.key(), e.kind) for e in graph.edges]
+    assert len(got) == len(set(got))
+    assert set(got) == _codim_one_by_brute_force(spec, neck)
+
+
+# -- cached cover numbers ---------------------------------------------------------
+
+
+def _multi_orbit_spec():
+    """The double cover of ``TestMultiOrbitBase``: one branch point, index zero."""
+    a = elliptic("a", Fraction(3, 10))
+    b = elliptic("b", Fraction(7, 10))
+    c = elliptic("c", Fraction(11, 30))
+    rel = -1 - cz_iterate(a, 1) - cz_iterate(b, 1) + cz_iterate(c, 1)
+    base = BaseCurve("w", positive_ends=coll(a.iterate(1), b.iterate(1)),
+                     negative_ends=coll(c.iterate(1), sign="negative"),
+                     index=0, rel_c1_doubled=rel)
+    return CoverSpec(base, 2, coll(a.iterate(2), b.iterate(1), b.iterate(1)),
+                     coll(c.iterate(1), c.iterate(1), sign="negative"))
+
+
+def test_cached_numbers_stay_out_of_equality_hash_and_repr():
+    spec, fresh = _multi_orbit_spec(), _multi_orbit_spec()
+    before = (repr(spec), hash(spec))
+    assert (spec.ramification, spec.index) == (1, 0)
+    assert (repr(spec), hash(spec)) == before
+    assert spec == fresh and hash(spec) == hash(fresh)
+    # a replaced spec computes its own numbers
+    a = spec.base.positive_ends.items[0].orbit
+    moved = replace(spec, positive_ends=coll(a.iterate(1), a.iterate(1),
+                                             *spec.positive_ends.items[1:]))
+    assert moved.ramification == 2
+    assert moved.index == fredholm_index(CoverSpec(
+        spec.base, 2, moved.positive_ends, spec.negative_ends)) == 2
+    assert replace(spec, marked_points=1).index == spec.index
+
+
+def _pants_double_cover():
+    """Valid end multiplicities, but a negative total ramification."""
+    a, b, c = elliptic("a"), elliptic("b"), elliptic("c")
+    base = BaseCurve("w", positive_ends=coll(a.iterate(1), b.iterate(1)),
+                     negative_ends=coll(c.iterate(1), sign="negative"))
+    return CoverSpec(base, 2, coll(a.iterate(2), b.iterate(2)),
+                     coll(c.iterate(2), sign="negative"))
+
+
+@pytest.mark.parametrize("make_spec", [
+    _pants_double_cover,
+    lambda: CoverSpec(cylinder_over(elliptic()), 2, coll(elliptic().iterate(1)),
+                      coll(elliptic().iterate(2), sign="negative")),
+], ids=["negative-ramification", "ends-do-not-cover"])
+def test_invalid_spec_raises_on_every_call(make_spec):
+    spec = make_spec()
+    for _ in range(2):
+        for number in (validate_cover, branch_count, fredholm_index, cokernel_rank,
+                       tangency_dimension, normal_chern_numbers, boundary_strata,
+                       lambda s: s.index):
+            with pytest.raises(InconsistentProfile):
+                number(spec)
+
+
+def test_strata_validate_each_node_at_most_once(monkeypatch):
+    calls = []
+    validate = covers.validate_cover
+    monkeypatch.setattr(covers, "validate_cover", lambda spec: calls.append(spec) or validate(spec))
+    graph = boundary_strata(_multi_orbit_spec(), max_codim=2)
+    assert graph.edges
+    assert 0 < len(calls) <= len(graph.nodes)
