@@ -18,7 +18,7 @@ from . import exceptional as ex
 from . import potentials as pt
 from .config import ConfigDocument, parse_config, render_config
 from .errors import HYPOTHESIS_ERRORS, ConfigError, LocalSFTError
-from .orbits import OrbitRegistry, cz_defect, cz_iterate, is_good, variable_degree
+from .orbits import cz_defect, cz_iterate, is_good, variable_degree
 
 
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -56,11 +56,11 @@ def _load_config(args) -> ConfigDocument:
     return doc
 
 
-def _lookup(items: dict | OrbitRegistry, what: str, name: str):
-    """The named config item or orbit, or a ConfigError naming what is unknown."""
+def _lookup(items: dict, what: str, name: str):
+    """The named config item, or a ConfigError naming what is unknown."""
     if name not in items:
         raise ConfigError(f"unknown {what} {name!r}")
-    return items.get(name)
+    return items[name]
 
 
 def _require_at_least(flag: str, value: int, low: int) -> None:
@@ -79,7 +79,7 @@ def cmd_cz(args) -> int:
     names = args.orbits or [o.name for o in doc.registry.orbits()]
     rows = []
     for name in names:
-        orbit = _lookup(doc.registry, "orbit", name)
+        orbit = doc.registry.get(name)
         top = orbit.max_iterate if orbit.elliptic else args.max_k
         for k in range(1, top + 1):
             it = orbit.iterate(k)
@@ -200,7 +200,7 @@ def cmd_compose(args) -> int:
     middle_names = set(args.middle.split(","))
     iterates = []
     for name in sorted(middle_names):
-        orbit = _lookup(doc.registry, "orbit", name)
+        orbit = doc.registry.get(name)
         top = orbit.max_iterate if orbit.elliptic else args.max_k
         iterates.extend(it for it in map(orbit.iterate, range(1, top + 1)) if is_good(it))
     result = pt.compose_sharp(
@@ -465,9 +465,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except LocalSFTError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except KeyError as exc:
-        print(f"error E_LOOKUP: {exc.args[0]}", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,13 @@ Statement forms::
       ...
     end
     neck <name> orbits=(a,b) plus=<curve>|cyl:<orbit> minus=<curve>|cyl:<orbit>
-                 [separating=no]
+                 [separating=yes]
+
+Curve names starting ``cyl:`` or ``cyl(`` are reserved for orbit
+cylinders.  ``separating=no`` is parsed and rejected: only separating
+necks are supported.  An error in a statement, an unknown name included,
+is a ``ConfigError`` naming its line and, where the token is known, its
+column.
 """
 
 from __future__ import annotations
@@ -49,10 +55,19 @@ class ConfigDocument:
     def curve(self, name: str) -> BaseCurve:
         if name.startswith("cyl:"):
             return cylinder_over(self.registry.get(name[4:]))
-        try:
-            return self.curves[name]
-        except KeyError:
-            raise KeyError(f"unknown curve {name!r}") from None
+        if name not in self.curves:
+            raise ConfigError(f"unknown curve {name!r}")
+        return self.curves[name]
+
+
+def _at(line: int, col: int, resolve, *args):
+    """``resolve(*args)``, with a library error positioned at the token at ``col``."""
+    try:
+        return resolve(*args)
+    except IterateOutOfRange as exc:
+        raise IterateOutOfRange(f"line {line} col {col}: {exc}") from None
+    except LocalSFTError as exc:
+        raise ConfigError(str(exc), line, col) from None
 
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
@@ -90,14 +105,8 @@ def _parse_collection(text: str, registry: OrbitRegistry, sign: str,
     for atom in _parse_name_list(text, line, col):
         name, _, power = atom.partition("^")
         k = _parse_int(power, line, col) if power else 1
-        if name not in registry:
-            raise ConfigError(f"unknown orbit {name!r}", line, col)
-        try:
-            items.append(registry.get(name).iterate(k))
-        except IterateOutOfRange as exc:
-            raise IterateOutOfRange(f"line {line} col {col}: {exc}") from None
-        except LocalSFTError as exc:
-            raise ConfigError(str(exc), line, col)
+        orbit = _at(line, col, registry.get, name)
+        items.append(_at(line, col, orbit.iterate, k))
     return OrbitCollection(tuple(items), sign=sign)
 
 
@@ -134,10 +143,7 @@ def parse_config(text: str) -> ConfigDocument:
     doc = ConfigDocument()
     lines = _Lines(text)
     saw_truncation = False
-    while True:
-        item = lines.next_content()
-        if item is None:
-            break
+    while (item := lines.next_content()) is not None:
         lineno, content = item
         tokens = content.split()
         head = tokens[0]
@@ -151,18 +157,18 @@ def parse_config(text: str) -> ConfigDocument:
             if doc.truncation < 1:
                 raise ConfigError("truncation must be positive", lineno, col0)
             saw_truncation = True
-        elif head == "orbit":
-            _parse_orbit(doc, tokens, lineno, content)
-        elif head == "curve":
-            _parse_curve(doc, tokens, lineno, content)
-        elif head == "cover":
-            _parse_cover(doc, tokens, lineno, content)
-        elif head == "table":
-            _parse_table(doc, tokens, lineno, content, lines)
-        elif head == "neck":
-            _parse_neck(doc, tokens, lineno, content)
-        else:
+            continue
+        parse = _STATEMENTS.get(head)
+        if parse is None:
             raise ConfigError(f"unknown statement {head!r}", lineno, col0)
+        try:
+            parse(doc, tokens, lineno, content, lines)
+        except IterateOutOfRange:
+            raise  # positioned where it is raised, and keeps its own code
+        except LocalSFTError as exc:
+            if isinstance(exc, ConfigError) and exc.line is not None:
+                raise
+            raise ConfigError(str(exc), lineno) from None
     return doc
 
 
@@ -192,7 +198,7 @@ def _reject_unknown_keys(kv: dict[str, tuple[str, int]], what: str, lineno: int)
         raise ConfigError(f"unknown {what} key {key!r}", lineno, kv[key][1])
 
 
-def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
+def _parse_orbit(doc: ConfigDocument, tokens, lineno, content, lines):
     name = _statement_name(tokens, lineno, "orbit")
     if len(tokens) < 3 or "=" in tokens[2]:
         raise ConfigError("orbit statement needs a kind (elliptic/hyperbolic)", lineno, 1)
@@ -211,21 +217,18 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content):
             max_iterate=None if max_iterate is None else _parse_int(max_iterate[0], lineno, max_iterate[1]),
             morse=True if morse is None else _parse_bool(morse[0], lineno, morse[1]),
         )
-    except ConfigError:
-        raise
     except IterateOutOfRange as exc:
         # an over-large max_iterate keeps its own code; the line says where
         raise IterateOutOfRange(f"line {lineno}: {exc}") from None
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
-    try:
-        doc.registry.add(orbit)
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
+    doc.registry.add(orbit)
 
 
-def _parse_curve(doc: ConfigDocument, tokens, lineno, content):
+def _parse_curve(doc: ConfigDocument, tokens, lineno, content, lines):
     name = _statement_name(tokens, lineno, "curve")
+    if name.startswith(("cyl:", "cyl(")):
+        # cyl:g refers to the cylinder over orbit g, and that curve is named cyl(g)
+        raise ConfigError(f"curve name {name!r} is reserved for orbit cylinders",
+                          lineno, content.index(name) + 1)
     if name in doc.curves:
         raise ConfigError(f"duplicate curve name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno, content)
@@ -236,13 +239,10 @@ def _parse_curve(doc: ConfigDocument, tokens, lineno, content):
     pos = _take_collection(kv, "pos", doc.registry, "positive", lineno)
     neg = _take_collection(kv, "neg", doc.registry, "negative", lineno)
     _reject_unknown_keys(kv, "curve", lineno)
-    try:
-        doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
+    doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
 
 
-def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
+def _parse_cover(doc: ConfigDocument, tokens, lineno, content, lines):
     name = _statement_name(tokens, lineno, "cover")
     if name in doc.covers:
         raise ConfigError(f"duplicate cover name {name!r}", lineno)
@@ -250,10 +250,7 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
     base_item = kv.pop("base", None)
     if base_item is None:
         raise ConfigError("cover statement needs base=<curve>", lineno)
-    try:
-        base = doc.curve(base_item[0])
-    except KeyError as exc:
-        raise ConfigError(str(exc), lineno, base_item[1])
+    base = _at(lineno, base_item[1], doc.curve, base_item[0])
     degree_item = kv.pop("degree", None)
     if degree_item is None:
         raise ConfigError("cover statement needs degree=<int>", lineno)
@@ -263,10 +260,7 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, content):
     marked = _take(kv, "marked", _parse_int, 0, lineno)
     constrained = _take(kv, "constrained", _parse_int, 0, lineno)
     _reject_unknown_keys(kv, "cover", lineno)
-    try:
-        doc.covers[name] = CoverSpec(base, degree, pos, neg, marked, constrained)
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
+    doc.covers[name] = CoverSpec(base, degree, pos, neg, marked, constrained)
 
 
 def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
@@ -299,24 +293,16 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
         if key in entries:
             raise ConfigError("duplicate table row", row_line, 1)
         entries[key] = count
-    try:
-        if orbit_item is not None:
-            if orbit_item[0] not in doc.registry:
-                raise ConfigError(f"unknown orbit {orbit_item[0]!r}", lineno, orbit_item[1])
-            table = CountTable("orbit", orbit_item[0], entries, doc.registry)
-        else:
-            base = doc.curve(curve_item[0])
-            table = CountTable("curve", curve_item[0], entries, doc.registry, base=base)
-    except KeyError as exc:
-        raise ConfigError(str(exc), lineno)
-    except ConfigError:
-        raise
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
+    if orbit_item is not None:
+        _at(lineno, orbit_item[1], doc.registry.get, orbit_item[0])
+        table = CountTable("orbit", orbit_item[0], entries, doc.registry)
+    else:
+        base = doc.curve(curve_item[0])
+        table = CountTable("curve", curve_item[0], entries, doc.registry, base=base)
     doc.tables[name] = table
 
 
-def _parse_neck(doc: ConfigDocument, tokens, lineno, content):
+def _parse_neck(doc: ConfigDocument, tokens, lineno, content, lines):
     name = _statement_name(tokens, lineno, "neck")
     if name in doc.necks:
         raise ConfigError(f"duplicate neck name {name!r}", lineno)
@@ -331,22 +317,15 @@ def _parse_neck(doc: ConfigDocument, tokens, lineno, content):
     orbit_names = _parse_name_list(orbits_item[0], lineno, orbits_item[1])
     if not orbit_names:
         raise ConfigError("neck needs at least one orbit", lineno, orbits_item[1])
-    orbits = []
-    for oname in orbit_names:
-        if oname not in doc.registry:
-            raise ConfigError(f"unknown orbit {oname!r}", lineno, orbits_item[1])
-        orbits.append(doc.registry.get(oname))
-    try:
-        side_plus = doc.curve(plus_item[0])
-        side_minus = doc.curve(minus_item[0])
-    except KeyError as exc:
-        raise ConfigError(str(exc), lineno)
+    orbits = tuple(_at(lineno, orbits_item[1], doc.registry.get, oname)
+                   for oname in orbit_names)
+    side_plus, side_minus = doc.curve(plus_item[0]), doc.curve(minus_item[0])
     separating = True if sep_item is None else _parse_bool(sep_item[0], lineno, sep_item[1])
-    try:
-        doc.necks[name] = NeckConfiguration(name, tuple(orbits), side_plus,
-                                            side_minus, separating)
-    except LocalSFTError as exc:
-        raise ConfigError(str(exc), lineno)
+    doc.necks[name] = NeckConfiguration(name, orbits, side_plus, side_minus, separating)
+
+
+_STATEMENTS = {"orbit": _parse_orbit, "curve": _parse_curve, "cover": _parse_cover,
+               "table": _parse_table, "neck": _parse_neck}
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +394,8 @@ def render_config(doc: ConfigDocument) -> str:
     for name in sorted(doc.necks):
         neck = doc.necks[name]
         orbit_names = ",".join(o.name for o in neck.gamma_set)
-        bits = [f"neck {name} orbits=({orbit_names}) plus={_curve_ref(neck.side_plus)}"
-                f" minus={_curve_ref(neck.side_minus)}"]
-        if not neck.separating:
-            bits.append("separating=no")
-        out.append(" ".join(bits))
+        out.append(f"neck {name} orbits=({orbit_names}) plus={_curve_ref(neck.side_plus)}"
+                   f" minus={_curve_ref(neck.side_minus)}")
     if doc.necks:
         out.append("")
     while out and out[-1] == "":

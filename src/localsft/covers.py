@@ -552,7 +552,6 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     spec.index  # validates the root once
     root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))  # not None once validated
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
-    seen_edges: set[tuple] = set()
     queue: list[tuple[str, int]] = [(root.node_id, 0)]
 
     def annotated(child: CoverSpec, components: int, level: str) -> StratumNode | None:
@@ -574,10 +573,6 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
             lower = annotated(low_spec, n_low, low_level)
             if upper is None or lower is None:
                 continue
-            edge_key = (node_id, upper.node_id, lower.node_id, middle.key(), kind)
-            if edge_key in seen_edges:
-                continue
-            seen_edges.add(edge_key)
             for child in (upper, lower):
                 if child.node_id not in graph.nodes:
                     graph.nodes[child.node_id] = child

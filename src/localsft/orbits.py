@@ -21,7 +21,8 @@ from itertools import groupby
 from math import prod
 from operator import attrgetter, itemgetter
 
-from .errors import BadOrbit, InvalidOrbit, InvalidVariable, IterateOutOfRange, RegistryMismatch
+from .errors import (BadOrbit, ConfigError, InvalidOrbit, InvalidVariable, IterateOutOfRange,
+                     RegistryMismatch)
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
@@ -246,10 +247,10 @@ class OrbitRegistry:
         return orbit
 
     def get(self, name: str) -> ReebOrbit:
-        try:
-            return self._orbits[name]
-        except KeyError:
-            raise KeyError(f"unknown orbit {name!r}") from None
+        orbit = self._orbits.get(name)
+        if orbit is None:
+            raise ConfigError(f"unknown orbit {name!r}")
+        return orbit
 
     def __contains__(self, name: str) -> bool:
         return name in self._orbits

@@ -177,22 +177,20 @@ def _weight(pos_key: CollectionKey, neg_key: CollectionKey) -> Fraction:
                     * kappa_pos * kappa_neg)
 
 
-def potential_from_counts(table: CountTable, truncation: int,
-                          q_side: str = "minus", p_side: str = "plus") -> Potential:
-    """Weighted generating function of a count table."""
+def potential_from_counts(table: CountTable, truncation: int) -> Potential:
+    """Weighted generating function of a count table, q on the minus side, p on the plus."""
     registry = table.registry
     series = GradedSeries(registry, truncation, {
-        _key_monomial(pos, neg, registry, q_side, p_side): count * _weight(pos, neg)
+        _key_monomial(pos, neg, registry, "minus", "plus"): count * _weight(pos, neg)
         for (pos, neg), count in table.sorted_entries()})
-    return Potential(series, source=table, q_side=q_side, p_side=p_side)
+    return Potential(series, source=table)
 
 
-def hamiltonian_from_counts(table: CountTable, truncation: int,
-                            q_side: str = "minus", p_side: str = "plus") -> Potential:
+def hamiltonian_from_counts(table: CountTable, truncation: int) -> Potential:
     """Generating function of an orbit table (covers of one orbit cylinder)."""
     if table.context_kind != "orbit":
         raise InadmissibleKey("hamiltonians are built from single-orbit tables")
-    return potential_from_counts(table, truncation, q_side, p_side)
+    return potential_from_counts(table, truncation)
 
 
 def _key_monomial(pos_key: CollectionKey, neg_key: CollectionKey,

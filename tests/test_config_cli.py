@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsft.cli import main
@@ -553,3 +553,67 @@ def test_iterate_beyond_max_iterate_in_a_collection_keeps_its_code(tmp_path):
     code, out, err = run_cli("--config", str(cfg), "check")
     assert (code, out) == (1, "")
     assert err == "error E_ITERATE_RANGE: line 2 col 29: g^5: beyond declared bound max_iterate=4\n"
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("cover c base=nosuch degree=1", "line 2 col 9: unknown curve 'nosuch'"),
+    ("cover c base=cyl:nosuch degree=1", "line 2 col 9: unknown orbit 'nosuch'"),
+    ("table T curve=nosuch\nend", "line 2: unknown curve 'nosuch'"),
+    ("table T orbit=nosuch\nend", "line 2 col 9: unknown orbit 'nosuch'"),
+    ("neck n orbits=(g) plus=cyl:g minus=nosuch", "line 2: unknown curve 'nosuch'"),
+    ("neck n orbits=(g,nosuch) plus=cyl:g minus=cyl:g", "line 2 col 8: unknown orbit 'nosuch'"),
+], ids=["cover", "cover-cylinder", "curve-table", "orbit-table", "neck-side", "neck-orbit"])
+def test_unknown_names_are_positioned_parse_errors(statement, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"orbit g elliptic theta=3/10 max_iterate=4\n{statement}\n")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", ["cyl(g)", "cyl:g"])
+def test_curve_names_of_orbit_cylinders_are_reserved(tmp_path, name):
+    # cyl(g) would render as cyl:g, the cylinder over g; cyl:g could never be referred to
+    cfg = tmp_path / "cyl.cfg"
+    cfg.write_text("orbit g elliptic theta=3/10 max_iterate=4\n"
+                   f"curve {name} index=0 rel_c1_doubled=2 pos=(g)\n"
+                   f"cover c base={name} degree=2 pos=(g,g)\n")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, out) == (2, "")
+    assert err == (f"error E_PARSE: line 2 col 7: curve name {name!r} is reserved "
+                   f"for orbit cylinders\n")
+
+
+_EXAMPLE_LINES = EXAMPLE.read_text().splitlines()
+_TOKENS = [(i, j) for i, line in enumerate(_EXAMPLE_LINES) if not line.startswith("#")
+           for j in range(len(line.split()))]
+
+
+@st.composite
+def _mutated_examples(draw):
+    """The shipped example with one token made an unknown name or deleted, or a line doubled."""
+    lines = list(_EXAMPLE_LINES)
+    i, j = draw(st.sampled_from(_TOKENS))
+    op = draw(st.sampled_from(["unknown", "delete", "duplicate"]))
+    if op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split()
+        if op == "unknown":
+            key, eq, _ = tokens[j].rpartition("=")
+            tokens[j] = key + eq + draw(st.sampled_from(["nosuch", "cyl:nosuch", "(nosuch)"]))
+        else:
+            del tokens[j]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated_examples())
+@example(EXAMPLE.read_text().replace("base=vminus", "base=nosuch"))
+def test_mutated_example_check_gives_one_unquoted_error_line(tmp_path_factory, text):
+    cfg = tmp_path_factory.getbasetemp() / "mutated.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli("--config", str(cfg), "check")
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert err == "" or re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err
+    assert '"unknown' not in err

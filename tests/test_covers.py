@@ -470,6 +470,15 @@ def test_strata_satisfy_gluing_invariants(case):
                             - _unmarked_cylinder(parent))
 
 
+@settings(max_examples=40, deadline=None)
+@given(strata_cases())
+def test_strata_edges_are_unique(case):
+    # each node is expanded once and its splittings are distinct, so no edge repeats
+    spec, neck = case
+    edges = boundary_strata(spec, neck=neck, max_codim=2).edges
+    assert len(set(edges)) == len(edges)
+
+
 # -- codimension-one strata against brute force --------------------------------
 
 

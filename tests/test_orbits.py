@@ -284,6 +284,16 @@ def test_domain_errors_are_library_value_errors(build, error):
     assert isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: OrbitRegistry().get("x"),
+    lambda: CountTable("orbit", "x", {}, OrbitRegistry()),
+], ids=["registry", "orbit-table"])
+def test_unknown_orbit_is_a_library_error(build):
+    with pytest.raises(LocalSFTError) as err:
+        build()
+    assert str(err.value) == "unknown orbit 'x'"
+
+
 def test_max_iterate_is_bounded():
     top = MAX_ITERATE_BOUND
     assert len(elliptic(Fraction(1, top + 1), max_iterate=top).cz_table) == top
