@@ -203,20 +203,6 @@ def _canonical(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(letters)), sign
 
 
-def merge_monomials(a: Monomial, b: Monomial) -> tuple[Monomial | None, int]:
-    """Product of two canonical monomials with its Koszul sign.
-
-    Returns (None, 0) when an odd variable would appear twice.
-    """
-    orbits = {v.iterate.orbit.name: v.iterate.orbit for v, _ in a + b}
-    var = _SlotTable(OrbitRegistry(list(orbits.values())))
-    left, right = var.letters(a), var.letters(b)
-    sign = _koszul(_odd(left), _odd(right))
-    if not sign:
-        return None, 0
-    return tuple((var[s], e) for s, e in _runs(tuple(sorted(left + right)))), sign
-
-
 def render_monomial(mono: Monomial) -> str:
     if not mono:
         return "1"

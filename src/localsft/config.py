@@ -26,11 +26,12 @@ Curve names starting ``cyl:`` or ``cyl(`` are reserved for orbit
 cylinders.  ``separating=no`` is parsed and rejected: only separating
 necks are supported.  An error in a statement, an unknown name included,
 is a ``ConfigError`` naming its line and, where the token is known, its
-column.
+column: the 1-based column of the token's first character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,22 +116,22 @@ class _Lines:
         self.raw = text.splitlines()
         self.pos = 0
 
-    def next_content(self) -> tuple[int, str] | None:
+    def next_content(self) -> tuple[int, list[tuple[str, int]]] | None:
+        """The number and the tokens of the next line that has any, comments cut."""
         while self.pos < len(self.raw):
             lineno = self.pos + 1
-            line = self.raw[self.pos]
+            line = self.raw[self.pos].split("#", 1)[0]
             self.pos += 1
-            stripped = line.split("#", 1)[0].rstrip()
-            if stripped.strip():
-                return lineno, stripped
+            tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+            if tokens:
+                return lineno, tokens
         return None
 
 
-def _split_kv(tokens: list[str], line: int, text: str) -> dict[str, tuple[str, int]]:
+def _split_kv(tokens: list[tuple[str, int]], line: int) -> dict[str, tuple[str, int]]:
     out: dict[str, tuple[str, int]] = {}
-    for token in tokens:
+    for token, col in tokens:
         key, eq, value = token.partition("=")
-        col = text.index(token) + 1
         if not eq:
             raise ConfigError(f"expected key=value, got {token!r}", line, col)
         if key in out:
@@ -144,16 +145,14 @@ def parse_config(text: str) -> ConfigDocument:
     lines = _Lines(text)
     saw_truncation = False
     while (item := lines.next_content()) is not None:
-        lineno, content = item
-        tokens = content.split()
-        head = tokens[0]
-        col0 = content.index(head) + 1
+        lineno, tokens = item
+        head, col0 = tokens[0]
         if head == "truncation":
             if len(tokens) != 2:
                 raise ConfigError("truncation takes exactly one value", lineno, col0)
             if saw_truncation:
                 raise ConfigError("duplicate truncation statement", lineno, col0)
-            doc.truncation = _parse_int(tokens[1], lineno, content.index(tokens[1]) + 1)
+            doc.truncation = _parse_int(tokens[1][0], lineno, tokens[1][1])
             if doc.truncation < 1:
                 raise ConfigError("truncation must be positive", lineno, col0)
             saw_truncation = True
@@ -162,7 +161,7 @@ def parse_config(text: str) -> ConfigDocument:
         if parse is None:
             raise ConfigError(f"unknown statement {head!r}", lineno, col0)
         try:
-            parse(doc, tokens, lineno, content, lines)
+            parse(doc, tokens, lineno, lines)
         except IterateOutOfRange:
             raise  # positioned where it is raised, and keeps its own code
         except LocalSFTError as exc:
@@ -172,10 +171,10 @@ def parse_config(text: str) -> ConfigDocument:
     return doc
 
 
-def _statement_name(tokens: list[str], lineno: int, what: str) -> str:
-    if len(tokens) < 2 or "=" in tokens[1]:
+def _statement_name(tokens: list[tuple[str, int]], lineno: int, what: str) -> str:
+    if len(tokens) < 2 or "=" in tokens[1][0]:
         raise ConfigError(f"{what} statement needs a name", lineno, 1)
-    return tokens[1]
+    return tokens[1][0]
 
 
 def _take(kv: dict[str, tuple[str, int]], key: str, parse, default, lineno: int):
@@ -198,12 +197,12 @@ def _reject_unknown_keys(kv: dict[str, tuple[str, int]], what: str, lineno: int)
         raise ConfigError(f"unknown {what} key {key!r}", lineno, kv[key][1])
 
 
-def _parse_orbit(doc: ConfigDocument, tokens, lineno, content, lines):
+def _parse_orbit(doc: ConfigDocument, tokens, lineno, lines):
     name = _statement_name(tokens, lineno, "orbit")
-    if len(tokens) < 3 or "=" in tokens[2]:
+    if len(tokens) < 3 or "=" in tokens[2][0]:
         raise ConfigError("orbit statement needs a kind (elliptic/hyperbolic)", lineno, 1)
-    kind = tokens[2]
-    kv = _split_kv(tokens[3:], lineno, content)
+    kind = tokens[2][0]
+    kv = _split_kv(tokens[3:], lineno)
     theta = kv.pop("theta", None)
     cz1 = kv.pop("cz1", None)
     max_iterate = kv.pop("max_iterate", None)
@@ -223,15 +222,15 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, content, lines):
     doc.registry.add(orbit)
 
 
-def _parse_curve(doc: ConfigDocument, tokens, lineno, content, lines):
+def _parse_curve(doc: ConfigDocument, tokens, lineno, lines):
     name = _statement_name(tokens, lineno, "curve")
     if name.startswith(("cyl:", "cyl(")):
         # cyl:g refers to the cylinder over orbit g, and that curve is named cyl(g)
         raise ConfigError(f"curve name {name!r} is reserved for orbit cylinders",
-                          lineno, content.index(name) + 1)
+                          lineno, tokens[1][1])
     if name in doc.curves:
         raise ConfigError(f"duplicate curve name {name!r}", lineno)
-    kv = _split_kv(tokens[2:], lineno, content)
+    kv = _split_kv(tokens[2:], lineno)
     closed = _take(kv, "closed", _parse_bool, False, lineno)
     immersed = _take(kv, "immersed", _parse_bool, True, lineno)
     index = _take(kv, "index", _parse_int, 0, lineno)
@@ -242,11 +241,11 @@ def _parse_curve(doc: ConfigDocument, tokens, lineno, content, lines):
     doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
 
 
-def _parse_cover(doc: ConfigDocument, tokens, lineno, content, lines):
+def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
     name = _statement_name(tokens, lineno, "cover")
     if name in doc.covers:
         raise ConfigError(f"duplicate cover name {name!r}", lineno)
-    kv = _split_kv(tokens[2:], lineno, content)
+    kv = _split_kv(tokens[2:], lineno)
     base_item = kv.pop("base", None)
     if base_item is None:
         raise ConfigError("cover statement needs base=<curve>", lineno)
@@ -263,11 +262,11 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, content, lines):
     doc.covers[name] = CoverSpec(base, degree, pos, neg, marked, constrained)
 
 
-def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
+def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
     name = _statement_name(tokens, lineno, "table")
     if name in doc.tables:
         raise ConfigError(f"duplicate table name {name!r}", lineno)
-    kv = _split_kv(tokens[2:], lineno, content)
+    kv = _split_kv(tokens[2:], lineno)
     orbit_item = kv.pop("orbit", None)
     curve_item = kv.pop("curve", None)
     _reject_unknown_keys(kv, "table", lineno)
@@ -279,16 +278,14 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
         if item is None:
             raise ConfigError(f"table {name!r} is missing its end line", lineno)
         row_line, row = item
-        if row.strip() == "end":
+        if [token for token, _ in row] == ["end"]:
             break
-        parts = row.split()
-        if len(parts) != 3:
+        if len(row) != 3:
             raise ConfigError("table rows are: <pos> <neg> <count>", row_line, 1)
-        pos = _parse_collection(parts[0], doc.registry, "positive",
-                                row_line, row.index(parts[0]) + 1)
-        neg = _parse_collection(parts[1], doc.registry, "negative",
-                                row_line, row.index(parts[1]) + 1)
-        count = _parse_fraction(parts[2], row_line, row.index(parts[2]) + 1)
+        (pos_text, pos_col), (neg_text, neg_col), (count_text, count_col) = row
+        pos = _parse_collection(pos_text, doc.registry, "positive", row_line, pos_col)
+        neg = _parse_collection(neg_text, doc.registry, "negative", row_line, neg_col)
+        count = _parse_fraction(count_text, row_line, count_col)
         key = (pos.key(), neg.key())
         if key in entries:
             raise ConfigError("duplicate table row", row_line, 1)
@@ -302,11 +299,11 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, content, lines: _Lines):
     doc.tables[name] = table
 
 
-def _parse_neck(doc: ConfigDocument, tokens, lineno, content, lines):
+def _parse_neck(doc: ConfigDocument, tokens, lineno, lines):
     name = _statement_name(tokens, lineno, "neck")
     if name in doc.necks:
         raise ConfigError(f"duplicate neck name {name!r}", lineno)
-    kv = _split_kv(tokens[2:], lineno, content)
+    kv = _split_kv(tokens[2:], lineno)
     orbits_item = kv.pop("orbits", None)
     plus_item = kv.pop("plus", None)
     minus_item = kv.pop("minus", None)

@@ -16,7 +16,10 @@ translation quotient only for unconstrained cylinder covers; a marked
 point pinned to a special point already kills the translation.
 
 A ``CoverSpec`` validates once and caches its ramification and index;
-every number above is read from those two.
+every number above is read from those two.  Marks change neither, so
+``boundary_strata`` keeps a per-call table of unmarked levels (base,
+degree, ends), validates each level once and lets its marked nodes reuse
+the level's numbers.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .errors import (
     DegreeTooLarge,
@@ -391,19 +395,22 @@ def _mixed_profiles(orbits: list[ReebOrbit], total_each: int) -> list[OrbitColle
     return out
 
 
-def _node_id(spec: CoverSpec, components: int, level: str) -> str:
-    return (f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
-            f"/{spec.negative_ends.render()}:r{spec.marked_points}"
-            f"c{spec.constrained_branch_points}:n{components}:{level}")
+def _make_node(level: CoverSpec, marks: tuple[int, int], components: int,
+               tag: str) -> StratumNode | None:
+    """Annotated stratum node, or None when no such cover exists at all.
 
-
-def _make_node(spec: CoverSpec, components: int, level: str,
-               node_id: str) -> StratumNode | None:
-    """Annotated stratum node, or None when no such cover exists at all."""
-    z = spec.ramification - 2 * (components - 1)
+    ``level`` is the first spec of the node's unmarked level.  Marks change
+    neither the ramification nor the index, so the node's spec takes
+    ``marks`` with the level's cached numbers and is not validated again.
+    """
+    z = level.ramification - 2 * (components - 1)
     if z < 0:
         return None
-    ind = fredholm_index(spec, components)  # validates each spec once
+    spec = level
+    if marks != (level.marked_points, level.constrained_branch_points):
+        spec = CoverSpec(level.base, level.degree, level.positive_ends, level.negative_ends,
+                         *marks)
+        spec.__dict__.update(ramification=level.ramification, index=level.index)
     unperturbed = None
     rank = None
     empty = False
@@ -419,26 +426,17 @@ def _make_node(spec: CoverSpec, components: int, level: str,
             except HypothesesViolated:
                 rank = None
     return StratumNode(
-        node_id=node_id,
+        node_id=(f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
+                 f"/{spec.negative_ends.render()}:r{marks[0]}c{marks[1]}:n{components}:{tag}"),
         spec=spec,
         components=components,
-        level=level,
-        index=ind,
+        level=tag,
+        index=fredholm_index(spec, components),
         virtual_dim=virtual_dimension(spec, components),
         unperturbed_dim=unperturbed,
         obstruction_rank=rank,
         empty=empty,
     )
-
-
-def _is_trivial_cylinder_level(spec: CoverSpec, components: int) -> bool:
-    if not is_orbit_cylinder(spec.base):
-        return False
-    if spec.marked_points or spec.constrained_branch_points:
-        return False
-    return (spec.ramification == 2 * (components - 1)
-            and spec.positive_ends.key() == spec.negative_ends.key()
-            and components == len(spec.positive_ends))
 
 
 def _component_bound_for_base_cover(spec: CoverSpec) -> int:
@@ -451,56 +449,29 @@ def _component_bound_for_base_cover(spec: CoverSpec) -> int:
     return bound
 
 
-def _marked_placements(r: int, c: int) -> list[tuple[int, int, int, int]]:
-    """Distributions (r_up, c_up, r_low, c_low) over the two levels."""
-    out = []
-    for r_up in range(r + 1):
-        r_low = r - r_up
-        for c_up in range(min(c, r_up) + 1):
-            c_low = c - c_up
-            if c_low <= r_low:
-                out.append((r_up, c_up, r_low, c_low))
-    return out
+def _marked_placements(r: int, c: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """Distributions ((r_up, c_up), (r_low, c_low)) over the two levels."""
+    return [((r_up, c_up), (r - r_up, c - c_up)) for r_up in range(r + 1)
+            for c_up in range(min(c, r_up) + 1) if c - c_up <= r - r_up]
 
 
-def _glue(spec: CoverSpec, upper: CoverSpec, lower: CoverSpec,
-          middles: list[OrbitCollection], levels: tuple[str, str],
-          lower_first: bool = False):
-    """Two-level buildings of ``spec``: ``upper`` over ``lower`` along each middle.
+def _glue(upper: CoverSpec, lower: CoverSpec, middles: list[OrbitCollection],
+          tags: tuple[str, str], lower_first: bool = False):
+    """The unmarked levels of ``upper`` over ``lower``, glued along each middle.
 
     Each middle profile is appended to the negative ends of ``upper`` and the
-    positive ends of ``lower``; the marked points of ``spec`` are split over
-    the two levels and each level gets 1 to ``_component_bound_for_base_cover``
-    components, the two counts summing to one more than the middle's length
-    (genus zero).  Trivial-cylinder levels are skipped.  Placements and
-    component counts run upward on ``upper``, or on ``lower`` when
-    ``lower_first``, which fixes the edge order.
+    positive ends of ``lower``.  Yields the ``(level, tag)`` pairs, ``lower``
+    first when ``lower_first``, then the middle and ``lower_first``;
+    ``boundary_strata`` runs placements and component counts upward on the
+    first level, which fixes the edge order.
     """
-    placements = _marked_placements(spec.marked_points, spec.constrained_branch_points)
     for middle in middles:
         glued = [(CoverSpec(upper.base, upper.degree, upper.positive_ends, OrbitCollection(
-                      upper.negative_ends.items + middle.items, sign="negative")), levels[0]),
+                      upper.negative_ends.items + middle.items, sign="negative")), tags[0]),
                  (CoverSpec(lower.base, lower.degree, OrbitCollection(
                       lower.positive_ends.items + middle.items, sign="positive"),
-                      lower.negative_ends), levels[1])]
-        if lower_first:
-            glued.reverse()
-        (first, first_level), (second, second_level) = glued
-        first_bound = _component_bound_for_base_cover(first)
-        second_bound = _component_bound_for_base_cover(second)
-        for r_first, c_first, r_second, c_second in placements:
-            a = CoverSpec(first.base, first.degree, first.positive_ends, first.negative_ends,
-                          r_first, c_first)
-            b = CoverSpec(second.base, second.degree, second.positive_ends,
-                          second.negative_ends, r_second, c_second)
-            for n_a in range(1, first_bound + 1):
-                n_b = len(middle) + 1 - n_a
-                if not 1 <= n_b <= second_bound:
-                    continue
-                if _is_trivial_cylinder_level(a, n_a) or _is_trivial_cylinder_level(b, n_b):
-                    continue
-                pair = ((a, n_a, first_level), (b, n_b, second_level))
-                yield (pair[::-1] if lower_first else pair) + (middle,)
+                      lower.negative_ends), tags[1])]
+        yield (*(glued[::-1] if lower_first else glued), middle, lower_first)
 
 
 def _splittings(spec: CoverSpec, neck: NeckSplit | None):
@@ -512,12 +483,12 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
     """
     if spec.base.closed:
         orbits = sorted(neck.orbits, key=lambda o: o.name)
-        yield from _glue(spec, CoverSpec(neck.side_plus, spec.degree),
+        yield from _glue(CoverSpec(neck.side_plus, spec.degree),
                          CoverSpec(neck.side_minus, spec.degree),
                          _mixed_profiles(orbits, spec.degree), (MIDDLE, MIDDLE))
     elif is_orbit_cylinder(spec.base):
         orbit = spec.base.positive_ends.items[0].orbit
-        yield from _glue(spec, CoverSpec(spec.base, spec.degree, spec.positive_ends),
+        yield from _glue(CoverSpec(spec.base, spec.degree, spec.positive_ends),
                          CoverSpec(spec.base, spec.degree, negative_ends=spec.negative_ends),
                          end_profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
     else:
@@ -533,11 +504,20 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
                 middles = end_profiles(orbit, cyl.degree)
                 if side == "positive":
                     main = CoverSpec(spec.base, spec.degree, rest, spec.negative_ends)
-                    yield from _glue(spec, cyl, main, middles, (TOP_CYLINDER, MIDDLE))
+                    yield from _glue(cyl, main, middles, (TOP_CYLINDER, MIDDLE))
                 else:
                     main = CoverSpec(spec.base, spec.degree, spec.positive_ends, rest)
-                    yield from _glue(spec, main, cyl, middles, (MIDDLE, BOTTOM_CYLINDER),
+                    yield from _glue(main, cyl, middles, (MIDDLE, BOTTOM_CYLINDER),
                                      lower_first=True)
+
+
+class _Level(NamedTuple):
+    """An unmarked level of one ``boundary_strata`` call."""
+
+    key: tuple  # (base name, degree, positive ends key, negative ends key)
+    spec: CoverSpec  # the first spec seen; only the root's has marks
+    bound: int  # at most this many components, by _component_bound_for_base_cover
+    trivial: int  # components of it as a union of trivial cylinders, or 0
 
 
 def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
@@ -548,37 +528,68 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     up to ``max_codim`` times.  Neck splittings (for covers of closed
     curves with a declared neck) count as one step and are tagged "neck";
     ordinary two-level splittings are tagged "sft".
+
+    One call keeps a table of unmarked levels (base name, degree, ends),
+    each with its first spec, its component bound and the component count
+    at which it is a union of trivial cylinders, and validated once.  Marks
+    ride beside the levels; a node, keyed by its level, marks, components
+    and tag, is annotated once.
     """
+    levels: dict[tuple, _Level] = {}
+    nodes: dict[tuple, StratumNode | None] = {}
+
+    def level(level_spec: CoverSpec) -> _Level:
+        pos, neg = level_spec.positive_ends.key(), level_spec.negative_ends.key()
+        key = (level_spec.base.name, level_spec.degree, pos, neg)
+        if key not in levels:
+            trivial = len(pos) if pos == neg and is_orbit_cylinder(level_spec.base) else 0
+            levels[key] = _Level(key, level_spec, _component_bound_for_base_cover(level_spec),
+                                 trivial)
+        return levels[key]
+
+    def node(lvl: _Level, marks: tuple[int, int], components: int,
+             tag: str) -> StratumNode | None:
+        key = (lvl.key, marks, components, tag)
+        if key not in nodes:
+            nodes[key] = _make_node(lvl.spec, marks, components, tag)
+        return nodes[key]
+
     spec.index  # validates the root once
-    root = _make_node(spec, 1, MIDDLE, _node_id(spec, 1, MIDDLE))  # not None once validated
+    root = node(level(spec), (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
-    queue: list[tuple[str, int]] = [(root.node_id, 0)]
-
-    def annotated(child: CoverSpec, components: int, level: str) -> StratumNode | None:
-        # each node is annotated once, however many edges reach it
-        child_id = _node_id(child, components, level)
-        return graph.nodes.get(child_id) or _make_node(child, components, level, child_id)
-
-    for node_id, codim in queue:
-        node = graph.nodes[node_id]
-        if codim >= max_codim or node.components != 1:
+    queue: list[tuple[StratumNode, int]] = [(root, 0)]
+    for parent, codim in queue:
+        if codim >= max_codim or parent.components != 1:
             continue
-        closed = node.spec.base.closed
+        closed = parent.spec.base.closed
         if closed and (neck is None or codim):
             continue
         kind = "neck" if closed else "sft"
-        for (up_spec, n_up, up_level), (low_spec, n_low, low_level), middle in _splittings(
-                node.spec, neck):
-            upper = annotated(up_spec, n_up, up_level)
-            lower = annotated(low_spec, n_low, low_level)
-            if upper is None or lower is None:
-                continue
-            for child in (upper, lower):
-                if child.node_id not in graph.nodes:
-                    graph.nodes[child.node_id] = child
-                    queue.append((child.node_id, codim + 1))
-            graph.edges.append(StratumEdge(node_id, upper.node_id,
-                                           lower.node_id, middle, kind))
+        placements = _marked_placements(parent.spec.marked_points,
+                                        parent.spec.constrained_branch_points)
+        for (first, first_tag), (second, second_tag), middle, lower_first in _splittings(
+                parent.spec, neck):
+            first, second = level(first), level(second)
+            for marks_first, marks_second in placements:
+                for n_first in range(1, first.bound + 1):
+                    # genus zero: the component counts sum to one more than the middle
+                    n_second = len(middle) + 1 - n_first
+                    if not 1 <= n_second <= second.bound:
+                        continue
+                    if ((n_first == first.trivial and marks_first == (0, 0))
+                            or (n_second == second.trivial and marks_second == (0, 0))):
+                        continue  # a level of unmarked trivial cylinders is no splitting
+                    a = node(first, marks_first, n_first, first_tag)
+                    b = node(second, marks_second, n_second, second_tag)
+                    if a is None or b is None:
+                        continue
+                    upper, lower = (b, a) if lower_first else (a, b)
+                    for child in (upper, lower):
+                        if child.node_id not in graph.nodes:
+                            graph.nodes[child.node_id] = child
+                            queue.append((child, codim + 1))
+                    graph.edges.append(StratumEdge(parent.node_id, upper.node_id,
+                                                   lower.node_id, middle, kind))
     return graph
 
 
@@ -692,8 +703,13 @@ def _connected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int
         total = Counter(_disconnected(d, mus, memo))
         for s in range(1, d):
             weight = comb(d, s) * comb(d - 1, s - 1)
-            splits = Counter((_moving(n for n, _ in split), _moving(r for _, r in split))
-                             for split in itertools.product(*(_splits(mu, s, memo) for mu in mus)))
+            splits = Counter({((), ()): 1})
+            for mu in mus:  # the (nu, rho) types of the splits, merged after each profile
+                merged = Counter()
+                for (nu, rho), k in splits.items():
+                    for n, r in _splits(mu, s, memo):
+                        merged[_moving((*nu, n)), _moving((*rho, r))] += k
+                splits = merged
             for (nu, rho), k in splits.items():
                 off_orbit = _disconnected(d - s, rho, memo)
                 for x, a in _connected(s, nu, memo).items():

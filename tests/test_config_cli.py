@@ -569,6 +569,18 @@ def test_unknown_names_are_positioned_parse_errors(statement, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("statement, message", [
+    ("curve c index=0 pos=(g) pos=(g)", "line 2 col 25: duplicate key 'pos'"),
+    ("curve c index=0 pos=(g) s=(g)", "line 2 col 25: unknown curve key 's'"),
+    ("table T orbit=g\n(g) () g\nend", "line 3 col 8: expected a rational number, got 'g'"),
+], ids=["repeated-token", "suffix-of-earlier-token", "table-row"])
+def test_error_column_is_that_of_the_token_itself(statement, message):
+    # not that of an earlier token with the same text, or containing it
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"orbit g elliptic theta=3/10 max_iterate=4\n{statement}\n")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", ["cyl(g)", "cyl:g"])
 def test_curve_names_of_orbit_cylinders_are_reserved(tmp_path, name):
     # cyl(g) would render as cyl:g, the cylinder over g; cyl:g could never be referred to

@@ -1,13 +1,16 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localsft import covers
+from localsft.config import parse_config
 from localsft.covers import (
     BaseCurve,
     CoverSpec,
@@ -644,3 +647,49 @@ def test_strata_validate_each_node_at_most_once(monkeypatch):
     graph = boundary_strata(_multi_orbit_spec(), max_codim=2)
     assert graph.edges
     assert 0 < len(calls) <= len(graph.nodes)
+
+
+EXAMPLE = Path(covers.__file__).resolve().parent / "data" / "example.cfg"
+
+
+@pytest.mark.parametrize("cover, neck", [("cyl_pair", None), ("sphere_marked", "stretch")])
+def test_strata_validate_each_unmarked_level_at_most_once(monkeypatch, cover, neck):
+    # marks change neither the ramification nor the index, so a level
+    # (base, degree, ends) is validated once per call, whatever its marks
+    doc = parse_config(EXAMPLE.read_text())
+    split = doc.necks[neck].split() if neck else None
+    levels = []
+    validate = covers.validate_cover
+    monkeypatch.setattr(covers, "validate_cover", lambda spec: levels.append(
+        (spec.base.name, spec.degree, spec.positive_ends.key(), spec.negative_ends.key()))
+        or validate(spec))
+    graph = boundary_strata(doc.covers[cover], neck=split, max_codim=3)
+    assert graph.edges and levels
+    assert len(levels) == len(set(levels))
+
+
+def _marked_cylinder_spec():
+    g = elliptic()
+    return CoverSpec(cylinder_over(g), 3, coll(g.iterate(1), g.iterate(1), g.iterate(1)),
+                     coll(g.iterate(3), sign="negative"), marked_points=1,
+                     constrained_branch_points=1)
+
+
+def _sphere_with_neck():
+    g = elliptic()
+    return CoverSpec(sphere(), 3, marked_points=1), NeckSplit((g,), plane_above(g), plane_below(g))
+
+
+@pytest.mark.parametrize("case, digest", [
+    (lambda: (_multi_orbit_spec(), None),
+     "197d1d22bdda584cc0dcd1364780f21f88c0fd6a8232d468d28bd1147c7a69d2"),
+    (lambda: (_marked_cylinder_spec(), None),
+     "d3ddc356debcf90988d569f9e0257b01ed31864e8cc6747e6b2b6a950815c8bb"),
+    (_sphere_with_neck,
+     "de039b5927f50639f57e8b8192908b2f14cf8b8e07992baa15f2b9ec52baca56"),
+], ids=["multi-orbit", "marked-cylinder-d3", "sphere-neck-d3"])
+def test_deeper_strata_adjacency_golden(case, digest):
+    # pins node and edge order of graphs deeper than the d=2 example
+    spec, neck = case()
+    text = boundary_strata(spec, neck=neck, max_codim=2).render_adjacency()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
