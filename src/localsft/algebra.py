@@ -66,6 +66,11 @@ SIDES = ("middle", "minus", "plus")
 SIDE_MARK = {"middle": "~", "minus": "-", "plus": "+"}
 
 
+def _check_truncation(truncation: int) -> None:
+    if truncation < 1:
+        raise InvalidTruncation(f"truncation order must be positive, got {truncation}")
+
+
 @dataclass(frozen=True)
 class Variable:
     """A p- or q-variable of a good orbit iterate, tagged with a side."""
@@ -227,8 +232,7 @@ class GradedSeries:
 
     def __init__(self, registry: OrbitRegistry, truncation: int,
                  terms: dict[Monomial, Fraction] | None = None):
-        if truncation < 1:
-            raise InvalidTruncation(f"truncation order must be positive, got {truncation}")
+        _check_truncation(truncation)
         self.registry = registry
         self.truncation = truncation
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -380,10 +384,17 @@ class GradedSeries:
         return self.scale(other)
 
 
-def _add_product(terms: SlotTerms, a: SlotTerms, b: SlotTerms, truncation: int,
+# (slot monomial, numerator, p-degree, odd letters) of each term of a right factor
+_Right = list[tuple[tuple[int, ...], int, int, tuple[int, ...]]]
+
+
+def _right(b: SlotTerms) -> _Right:
+    return [(m, c, _p_degree(m), _odd(m)) for m, c in b.items()]
+
+
+def _add_product(terms: SlotTerms, a: SlotTerms, right: _Right, truncation: int,
                  scale: int = 1) -> SlotTerms:
-    """Accumulate the numerators of ``scale * a * b`` into ``terms``, truncated in p-degree."""
-    right = [(m, c, _p_degree(m), _odd(m)) for m, c in b.items()]
+    """Accumulate ``scale * a * b`` into ``terms`` for ``right == _right(b)``, truncated in p."""
     for mono_a, coeff_a in a.items():
         room = truncation - _p_degree(mono_a)
         odd_a = _odd(mono_a)
@@ -403,7 +414,7 @@ def _add_product(terms: SlotTerms, a: SlotTerms, b: SlotTerms, truncation: int,
 def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Supercommutative product, truncated in total p-degree."""
     f._check_compatible(g)
-    terms = _add_product({}, f._terms, g._terms, f.truncation)
+    terms = _add_product({}, f._terms, _right(g._terms), f.truncation)
     return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den * g._den)
 
 
@@ -450,7 +461,7 @@ def _add_pairing(terms: SlotTerms, left: SlotTerms, right: SlotTerms,
     for p, q in pairs:
         d_left = _partial(left, p, True)
         if d_left:
-            _add_product(terms, d_left, _partial(right, q, False), truncation,
+            _add_product(terms, d_left, _right(_partial(right, q, False)), truncation,
                          scale * _kappa(p))
 
 
@@ -478,10 +489,13 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     Variables missing from ``assignment`` are left in place.  Images of a
     monomial's letters are multiplied in canonical monomial order, so the
     result is deterministic even for parity-breaking assignments (allowed
-    only with ``check_degrees=False``).  Each power ``image**e`` is
-    computed once per call.  The result has one denominator: ``f``'s
-    times ``d**top`` for each assigned letter, where ``d`` is the
-    denominator of its image and ``top`` its largest exponent in ``f``.
+    only with ``check_degrees=False``): the accumulator of a monomial is
+    seeded by the image of its first letter, scaled by the coefficient,
+    and the later images multiply it from the right.  Each power
+    ``image**e`` is computed once per call.  The result has one
+    denominator: ``f``'s times ``d**top`` for each assigned letter, where
+    ``d`` is the denominator of its image and ``top`` its largest exponent
+    in ``f``.
     """
     var = _slots(f.registry)
     images: dict[int, GradedSeries] = {}
@@ -506,19 +520,28 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
             if slot in images and e > top.get(slot, 0):
                 top[slot] = e
     lift = prod(images[slot]._den ** e for slot, e in top.items())
-    powers: dict[tuple[int, int], SlotTerms] = {}
+    powers: dict[tuple[int, int], SlotTerms] = {}  # (slot, e) -> nonzero terms of image**e
+    rights: dict[tuple[int, int], _Right] = {}  # _right of a power once it is a right factor
     out_terms: SlotTerms = {}
     for mono, coeff in f._terms.items():
         mono_den = prod(images[slot]._den ** e for slot, e in runs[mono] if slot in images)
-        acc: SlotTerms = {(): coeff * (lift // mono_den)}
-        for slot, e in runs[mono]:
-            if (slot, e) not in powers:
+        scale = coeff * (lift // mono_den)
+        acc: SlotTerms | None = None if mono else {(): scale}
+        for key in runs[mono]:
+            if key not in powers:
+                slot, e = key
                 power = base = images[slot]._terms if slot in images else {(slot,): 1}
                 for _ in range(e - 1):
-                    power = _add_product({}, power, base, f.truncation)
-                powers[slot, e] = power
-            acc = {m: c for m, c in _add_product({}, acc, powers[slot, e], f.truncation).items()
-                   if c}
+                    power = {m: c for m, c in _add_product({}, power, _right(base),
+                                                          f.truncation).items() if c}
+                powers[key] = power
+            if acc is None:
+                acc = {m: c * scale for m, c in powers[key].items()}
+            else:
+                if key not in rights:
+                    rights[key] = _right(powers[key])
+                acc = {m: c for m, c in _add_product({}, acc, rights[key], f.truncation).items()
+                       if c}
             if not acc:
                 break
         for m, c in acc.items():
@@ -528,13 +551,28 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,
            orbit_names: set[str] | None = None) -> GradedSeries:
-    """Retag matching variables with a new side, preserving all signs."""
-    assignment = {}
-    for v in f.variables():
-        if v.kind != kind or v.side != side:
-            continue
-        if orbit_names is not None and v.iterate.orbit.name not in orbit_names:
-            continue
-        new_v = Variable(v.iterate, v.kind, new_side)
-        assignment[v] = GradedSeries.of(f.registry, f.truncation, new_v)
-    return substitute(f, assignment)
+    """Retag matching variables with a new side, preserving all signs.
+
+    A relabel of slots, not a substitution: a slot matches when its kind
+    and side are ``kind`` and ``side`` and, unless ``orbit_names`` is None,
+    its orbit is named in it.  A matching slot changes only its side bits,
+    to those of ``new_side``, and each monomial is re-sorted with the
+    Koszul sign of ``_canonical`` (zero when two odd letters meet), over
+    the same denominator.  ``new_side`` is checked only when some variable
+    matches.
+    """
+    var = _slots(f.registry)
+    moved: dict[int, int] = {}
+    for s in {s for mono in f._terms for s in mono}:
+        v = var[s]
+        if v.kind == kind and v.side == side and (
+                orbit_names is None or v.iterate.orbit.name in orbit_names):
+            moved[s] = var.slot(Variable(v.iterate, kind, new_side))
+    if not moved:
+        return f
+    terms: SlotTerms = {}
+    for mono, coeff in f._terms.items():
+        mono, sign = _canonical(tuple(moved.get(s, s) for s in mono))
+        if sign:
+            terms[mono] = terms.get(mono, 0) + sign * coeff
+    return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den)

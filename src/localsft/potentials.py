@@ -10,6 +10,10 @@ Composition ``#`` eliminates the shared middle variables along the formal
 Lagrangian ``q = kappa * dR f-/dp`` and ``p = kappa * dL f+/dq``.  The
 constraint system is solved by fixed-point iteration in the filtration by
 total external degree; failure to stabilize is reported, never forced.
+A pass sets ``p_{k+1} = F(q_k)`` and ``q_{k+1} = G(p_k)``, so a half whose
+input did not move in the previous pass keeps its value without being
+recomputed; the passes, and the iterate at which the fixed point is
+declared, are those of recomputing both halves every time.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import (
     GradedSeries,
@@ -25,8 +29,10 @@ from .algebra import (
     SlotTerms,
     Variable,
     _add_pairing,
+    _canonical,
+    _check_truncation,
     _conjugate_pairs,
-    multiply,
+    _slots,
     partial,
     partial_right,
     render_monomial,
@@ -277,13 +283,20 @@ def assert_hamiltonian_vanishes(h: Potential) -> VanishingReport:
 
 def identity_series(iterates: list[OrbitIterate], registry: OrbitRegistry,
                     truncation: int, q_side: str, p_side: str) -> GradedSeries:
-    """``sum kappa^{-1} q p`` over the given iterates: the unit for ``#``."""
-    out = GradedSeries.zero(registry, truncation)
+    """``sum kappa^{-1} q p`` over the given iterates: the unit for ``#``.
+
+    Each iterate adds its sorted ``(q, p)`` slot pair, with the Koszul sign
+    of ``q p``, over the common denominator ``lcm(kappa)``.
+    """
+    _check_truncation(truncation)
+    var = _slots(registry)
+    den = lcm(*(it.k for it in iterates))
+    terms: SlotTerms = {}
     for it in iterates:
-        q = GradedSeries.of(registry, truncation, Variable(it, "q", q_side))
-        p = GradedSeries.of(registry, truncation, Variable(it, "p", p_side))
-        out = out + multiply(q, p).scale(Fraction(1, it.k))
-    return out
+        mono, sign = _canonical((var.slot(Variable(it, "q", q_side)),
+                                 var.slot(Variable(it, "p", p_side))))
+        terms[mono] = terms.get(mono, 0) + sign * (den // it.k)
+    return GradedSeries._of_slots(registry, truncation, terms, den)
 
 
 def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
@@ -321,12 +334,15 @@ def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
     # p~ = kappa dF+/dq~ and q~ = kappa dR F-/dp~, each solved by substitution
     p_rhs = {p: partial(f_plus, q).scale(p.kappa) for p, q in zip(p_vars, q_vars)}
     q_rhs = {q: partial_right(f_minus, p).scale(q.kappa) for p, q in zip(p_vars, q_vars)}
+    # p_{k+1} = F(q_k) and q_{k+1} = G(p_k): a half whose input did not move keeps its value
+    p_moved = q_moved = True
     for _ in range(order + 2):
         new_p = {v: _external_truncate(substitute(rhs, q_sol, check_degrees=False), order)
-                 for v, rhs in p_rhs.items()}
+                 for v, rhs in p_rhs.items()} if q_moved else p_sol
         new_q = {v: _external_truncate(substitute(rhs, p_sol, check_degrees=False), order)
-                 for v, rhs in q_rhs.items()}
-        if new_p == p_sol and new_q == q_sol:
+                 for v, rhs in q_rhs.items()} if p_moved else q_sol
+        p_moved, q_moved = new_p != p_sol, new_q != q_sol
+        if not (p_moved or q_moved):
             return q_sol, p_sol
         q_sol, p_sol = new_q, new_p
     constants = {}
@@ -395,18 +411,15 @@ def transform_potential(f0: Potential, f10: Potential, f01: Potential,
     if minus_names & plus_names:
         raise RegistryMismatch("the two middle orbit sets must be disjoint")
 
-    inner = compose_sharp(reside_potential(f0, plus_names, "p"),
-                          reside_potential(f01, plus_names, "q"),
-                          middle_plus, order)
-    right_first = compose_sharp(reside_potential(f10, minus_names, "p"),
-                                reside_potential(inner, minus_names, "q"),
+    left = reside_potential(f10, minus_names, "p")
+    right = reside_potential(f01, plus_names, "q")
+
+    inner = compose_sharp(reside_potential(f0, plus_names, "p"), right, middle_plus, order)
+    right_first = compose_sharp(left, reside_potential(inner, minus_names, "q"),
                                 middle_minus, order)
 
-    inner_left = compose_sharp(reside_potential(f10, minus_names, "p"),
-                               reside_potential(f0, minus_names, "q"),
-                               middle_minus, order)
-    left_first = compose_sharp(reside_potential(inner_left, plus_names, "p"),
-                               reside_potential(f01, plus_names, "q"),
+    inner_left = compose_sharp(left, reside_potential(f0, minus_names, "q"), middle_minus, order)
+    left_first = compose_sharp(reside_potential(inner_left, plus_names, "p"), right,
                                middle_plus, order)
     if right_first.series != left_first.series:
         raise NoFormalSolution("the two bracketings of the triple composition disagree")

@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localsft.algebra import (
+    SIDES,
     GradedSeries,
     Variable,
     multiply,
@@ -17,7 +18,13 @@ from localsft.algebra import (
     reside,
     substitute,
 )
-from localsft.errors import BadOrbit, DegreeMismatch, RegistryMismatch, TruncationOverflow
+from localsft.errors import (
+    BadOrbit,
+    DegreeMismatch,
+    InvalidVariable,
+    RegistryMismatch,
+    TruncationOverflow,
+)
 from localsft.errors import LocalSFTError
 from localsft.orbits import OrbitRegistry, ReebOrbit
 from localsft.potentials import Potential, hamilton_jacobi_rhs
@@ -392,6 +399,84 @@ def test_substitute_matches_letter_by_letter_oracle(f, images):
     # images of any parity (odd ones included); unassigned letters stay put
     assignment = {SIDED_VARS[i]: image for i, image in images.items()}
     assert substitute(f, assignment, check_degrees=False) == _reference_substitute(f, assignment)
+
+
+# -- reside against substitution of one-letter images ---------------------------
+
+ALL_SIDED_VARS = [Variable(it, kind, side) for it in ITERATES for kind in ("p", "q")
+                  for side in SIDES]
+
+
+def _substitute_reside(f, *, kind, side, new_side, orbit_names=None):
+    """The retag as a substitution of one-letter images: the slow oracle of ``reside``."""
+    assignment = {}
+    for v in f.variables():
+        if v.kind != kind or v.side != side:
+            continue
+        if orbit_names is not None and v.iterate.orbit.name not in orbit_names:
+            continue
+        new_v = Variable(v.iterate, v.kind, new_side)
+        assignment[v] = GradedSeries.of(f.registry, f.truncation, new_v)
+    return substitute(f, assignment)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except LocalSFTError as err:
+        return type(err), str(err)
+
+
+def _sided_series(spec):
+    return GradedSeries(REG, TRUNC, {tuple((ALL_SIDED_VARS[i], 1) for i in letters):
+                                     Fraction(num, den) for num, den, letters in spec})
+
+
+def _sided(name, kind, side):
+    return ALL_SIDED_VARS.index(Variable(REG.get(name).iterate(1), kind, side))
+
+
+# p-[b] p+[b]: moving p+ to the middle puts it before p-[b], one odd swap;
+# p~[b] p+[b]: moving p+ to the middle squares the odd p~[b]
+SIGN_SPEC = [(2, 3, (_sided("b", "p", "minus"), _sided("b", "p", "plus"))),
+             (1, 1, (_sided("b", "p", "middle"), _sided("b", "p", "plus"),
+                     _sided("c", "q", "minus"))),
+             (-1, 2, (_sided("a", "p", "plus"), _sided("c", "p", "plus"),
+                      _sided("b", "q", "middle")))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                          st.lists(st.integers(0, len(ALL_SIDED_VARS) - 1), max_size=4)),
+                max_size=5),
+       st.sampled_from(("p", "q", "r")),
+       st.sampled_from(SIDES + ("left",)),
+       st.sampled_from(SIDES + ("left",)),
+       st.sampled_from((None, set(), {"a"}, {"b", "c"}, {"c", "zz"}, ("b",))))
+@example(SIGN_SPEC, "p", "plus", "middle", None)
+@example(SIGN_SPEC, "p", "plus", "middle", {"b", "zz"})
+@example(SIGN_SPEC, "p", "minus", "plus", {"b"})
+@example(SIGN_SPEC, "p", "plus", "left", None)
+@example(SIGN_SPEC, "p", "plus", "left", {"zz"})
+@example(SIGN_SPEC, "r", "plus", "middle", None)
+@example(SIGN_SPEC, "q", "left", "middle", None)
+def test_reside_matches_substitution_oracle(spec, kind, side, new_side, orbit_names):
+    # odd letters, side collisions that re-sort or square, unknown names, and bad
+    # kinds and sides: the same series or the same error on every input
+    f = _sided_series(spec)
+    args = dict(kind=kind, side=side, new_side=new_side, orbit_names=orbit_names)
+    got = _outcome(lambda: reside(f, **args))
+    assert got == _outcome(lambda: _substitute_reside(f, **args))
+
+
+def test_reside_sign_cases():
+    f = _sided_series(SIGN_SPEC)
+    moved = reside(f, kind="p", side="plus", new_side="middle", orbit_names={"b"})
+    # the first term re-sorts past p-[b], the second squares p~[b], the third stays
+    assert moved.render() == "-2/3*p~[b]*p-[b] + 1/2*p+[a]*q~[b]*p+[c]"
+    with pytest.raises(InvalidVariable):
+        reside(f, kind="p", side="plus", new_side="left")
+    assert reside(f, kind="p", side="plus", new_side="left", orbit_names={"zz"}) == f
 
 
 def _twin(series, registry):

@@ -3,12 +3,27 @@ from fractions import Fraction
 
 import pytest
 
-from localsft.algebra import GradedSeries, Variable, multiply, reside
+from localsft import potentials
+from localsft.algebra import (
+    GradedSeries,
+    Variable,
+    multiply,
+    partial,
+    partial_right,
+    reside,
+    substitute,
+)
 from localsft.covers import BaseCurve
-from localsft.errors import InadmissibleKey, NoFormalSolution, RegistryMismatch
+from localsft.errors import (
+    InadmissibleKey,
+    InvalidTruncation,
+    NoFormalSolution,
+    RegistryMismatch,
+)
 from localsft.orbits import OrbitCollection, OrbitRegistry, ReebOrbit, cz_iterate
 from localsft.potentials import (
     CountTable,
+    _external_truncate,
     Potential,
     assert_hamiltonian_vanishes,
     compose_sharp,
@@ -236,6 +251,99 @@ class TestComposeSharp:
         with pytest.raises(NoFormalSolution) as err:
             compose_sharp(f_minus, f_plus, [REG.get("a").iterate(1)], order=4)
         assert err.value.obstructions
+
+
+def _ends_and_middles():
+    """q-[gm], p+[gp], the middle p-variables of a and a^2, then their q-variables."""
+    return (S(var("gm", kind="q", side="minus")), S(var("gp", kind="p", side="plus")),
+            [S(var("a", k, "p")) for k in (1, 2)], [S(var("a", k, "q")) for k in (1, 2)])
+
+
+def _p_settles_first():
+    # dL f+/dq~ is free of q~, so p~ settles after the first pass; dR f-/dp~ still
+    # depends on p~, so q~ moves once more and the last pass only recomputes p~
+    qm, pp, (p1, p2), (q1, q2) = _ends_and_middles()
+    f_minus = (multiply(qm, p1).scale(3) + multiply(multiply(qm, p1), p2)
+               + multiply(qm, p2).scale(Fraction(1, 2)))
+    f_plus = multiply(q1, pp).scale(5) + multiply(q2, multiply(pp, pp))
+    return f_minus, f_plus
+
+
+def _p_pauses_once():
+    # p~[a] = pp + 2 pp q~[a] ignores q~[a^2] = 2 qm, the only part of the first q~;
+    # so p~ stands still in pass 2 while q~[a] = 2 qm p~[a] moves, and moves again after
+    qm, pp, (p1, p2), (q1, q2) = _ends_and_middles()
+    f_minus = multiply(qm, p2) + multiply(qm, multiply(p1, p1))
+    f_plus = multiply(pp, q1) + multiply(pp, multiply(q1, q1))
+    return f_minus, f_plus
+
+
+class TestPicardPasses:
+    def _naive_solve(self, f_minus, f_plus, middle, order):
+        """Both halves of every pass recomputed until neither moves."""
+        q_rhs = {it: partial_right(f_minus, var(it.orbit.name, it.k, "p")).scale(it.k)
+                 for it in middle}
+        p_rhs = {it: partial(f_plus, var(it.orbit.name, it.k, "q")).scale(it.k)
+                 for it in middle}
+        zero = GradedSeries.zero(REG, TRUNC)
+        q_sol = {var(it.orbit.name, it.k, "q"): zero for it in middle}
+        p_sol = {var(it.orbit.name, it.k, "p"): zero for it in middle}
+        for passes in range(1, order + 3):
+            new_p = {var(it.orbit.name, it.k, "p"): _external_truncate(
+                substitute(p_rhs[it], q_sol, check_degrees=False), order) for it in middle}
+            new_q = {var(it.orbit.name, it.k, "q"): _external_truncate(
+                substitute(q_rhs[it], p_sol, check_degrees=False), order) for it in middle}
+            if new_p == p_sol and new_q == q_sol:
+                return q_sol, p_sol, passes
+            q_sol, p_sol = new_q, new_p
+        raise AssertionError("no fixed point")
+
+    @pytest.mark.parametrize("system", [_p_settles_first, _p_pauses_once],
+                             ids=lambda system: system.__name__)
+    def test_half_whose_input_stood_still_is_not_recomputed(self, monkeypatch, system):
+        mids = [REG.get("a").iterate(1), REG.get("a").iterate(2)]
+        f_minus, f_plus = system()
+        want_q, want_p, passes = self._naive_solve(f_minus, f_plus, mids, order=6)
+        assert passes >= 3
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return substitute(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "substitute", spy)
+        got_q, got_p = potentials._solve_lagrangian(f_minus, f_plus, mids, order=6)
+        assert (got_q, got_p) == (want_q, want_p)
+        assert len(calls) < 2 * len(mids) * passes
+
+
+class TestIdentitySeries:
+    @staticmethod
+    def _by_products(iterates, q_side, p_side):
+        out = GradedSeries.zero(REG, TRUNC)
+        for it in iterates:
+            q = S(Variable(it, "q", q_side))
+            p = S(Variable(it, "p", p_side))
+            out = out + multiply(q, p).scale(Fraction(1, it.k))
+        return out
+
+    @pytest.mark.parametrize("iterates", [
+        [],
+        [("b", 1)],                          # odd q and p: q p re-sorts with a sign
+        [("a", 2), ("b", 1), ("a", 3)],
+        [("a", 2), ("a", 2), ("b", 1), ("b", 1)],  # repeated iterates add up
+    ])
+    @pytest.mark.parametrize("sides", [("minus", "plus"), ("middle", "middle"),
+                                       ("plus", "minus")])
+    def test_matches_sum_of_products(self, iterates, sides):
+        its = [REG.get(name).iterate(k) for name, k in iterates]
+        got = identity_series(its, REG, TRUNC, *sides)
+        assert got == self._by_products(its, *sides)
+        assert got.is_zero() == (not its)
+
+    def test_nonpositive_truncation_is_rejected(self):
+        with pytest.raises(InvalidTruncation):
+            identity_series([REG.get("a").iterate(1)], REG, 0, "minus", "plus")
 
 
 class TestTransformPotential:
