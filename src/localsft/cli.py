@@ -3,12 +3,14 @@
 All reports are deterministic functions of the config document and flags.
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 hypothesis
 violation.  Errors print a single line ``error <CODE>: <explanation>`` to
-stderr.
+stderr.  The argument parser is built once per process; each ``main`` call
+only parses its arguments into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -373,6 +375,7 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=argparse.SUPPRESS,

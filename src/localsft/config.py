@@ -100,21 +100,32 @@ def _parse_name_list(text: str, line: int, col: int) -> list[str]:
     return [chunk for chunk in inner.split(",") if chunk] if inner else []
 
 
-def _parse_collection(text: str, registry: OrbitRegistry, sign: str,
+def _parse_collection(text: str, lines: _Lines, registry: OrbitRegistry, sign: str,
                       line: int, col: int) -> OrbitCollection:
-    items = []
-    for atom in _parse_name_list(text, line, col):
-        name, _, power = atom.partition("^")
-        k = _parse_int(power, line, col) if power else 1
-        orbit = _at(line, col, registry.get, name)
-        items.append(_at(line, col, orbit.iterate, k))
-    return OrbitCollection(tuple(items), sign=sign)
+    """The collection written ``text``, parsed once per document."""
+    coll = lines.collections.get((text, sign))
+    if coll is None:
+        items = []
+        for atom in _parse_name_list(text, line, col):
+            name, _, power = atom.partition("^")
+            k = _parse_int(power, line, col) if power else 1
+            orbit = _at(line, col, registry.get, name)
+            items.append(_at(line, col, orbit.iterate, k))
+        coll = lines.collections[text, sign] = OrbitCollection(tuple(items), sign=sign)
+    return coll
+
+
+_TOKEN = re.compile(r"\S+")
 
 
 class _Lines:
     def __init__(self, text: str):
         self.raw = text.splitlines()
         self.pos = 0
+        # parsed collections by (text, sign): a document repeats them (every row of a
+        # curve table can share one empty side), a parsed collection is immutable, and
+        # orbit names only ever gain meanings as the document goes on
+        self.collections: dict[tuple[str, str], OrbitCollection] = {}
 
     def next_content(self) -> tuple[int, list[tuple[str, int]]] | None:
         """The number and the tokens of the next line that has any, comments cut."""
@@ -122,7 +133,7 @@ class _Lines:
             lineno = self.pos + 1
             line = self.raw[self.pos].split("#", 1)[0]
             self.pos += 1
-            tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
             if tokens:
                 return lineno, tokens
         return None
@@ -183,12 +194,12 @@ def _take(kv: dict[str, tuple[str, int]], key: str, parse, default, lineno: int)
     return default if item is None else parse(item[0], lineno, item[1])
 
 
-def _take_collection(kv: dict[str, tuple[str, int]], key: str, registry: OrbitRegistry,
-                     sign: str, lineno: int) -> OrbitCollection:
+def _take_collection(kv: dict[str, tuple[str, int]], key: str, lines: _Lines,
+                     registry: OrbitRegistry, sign: str, lineno: int) -> OrbitCollection:
     item = kv.pop(key, None)
     if item is None:
         return OrbitCollection((), sign=sign)
-    return _parse_collection(item[0], registry, sign, lineno, item[1])
+    return _parse_collection(item[0], lines, registry, sign, lineno, item[1])
 
 
 def _reject_unknown_keys(kv: dict[str, tuple[str, int]], what: str, lineno: int) -> None:
@@ -235,8 +246,8 @@ def _parse_curve(doc: ConfigDocument, tokens, lineno, lines):
     immersed = _take(kv, "immersed", _parse_bool, True, lineno)
     index = _take(kv, "index", _parse_int, 0, lineno)
     rel = _take(kv, "rel_c1_doubled", _parse_int, 0, lineno)
-    pos = _take_collection(kv, "pos", doc.registry, "positive", lineno)
-    neg = _take_collection(kv, "neg", doc.registry, "negative", lineno)
+    pos = _take_collection(kv, "pos", lines, doc.registry, "positive", lineno)
+    neg = _take_collection(kv, "neg", lines, doc.registry, "negative", lineno)
     _reject_unknown_keys(kv, "curve", lineno)
     doc.curves[name] = BaseCurve(name, pos, neg, index, rel, immersed, closed)
 
@@ -254,8 +265,8 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
     if degree_item is None:
         raise ConfigError("cover statement needs degree=<int>", lineno)
     degree = _parse_int(degree_item[0], lineno, degree_item[1])
-    pos = _take_collection(kv, "pos", doc.registry, "positive", lineno)
-    neg = _take_collection(kv, "neg", doc.registry, "negative", lineno)
+    pos = _take_collection(kv, "pos", lines, doc.registry, "positive", lineno)
+    neg = _take_collection(kv, "neg", lines, doc.registry, "negative", lineno)
     marked = _take(kv, "marked", _parse_int, 0, lineno)
     constrained = _take(kv, "constrained", _parse_int, 0, lineno)
     _reject_unknown_keys(kv, "cover", lineno)
@@ -272,30 +283,33 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
     _reject_unknown_keys(kv, "table", lineno)
     if (orbit_item is None) == (curve_item is None):
         raise ConfigError("table statement needs exactly one of orbit=.../curve=...", lineno)
-    entries = {}
+    rows = {}
     while True:
         item = lines.next_content()
         if item is None:
             raise ConfigError(f"table {name!r} is missing its end line", lineno)
         row_line, row = item
-        if [token for token, _ in row] == ["end"]:
+        if len(row) == 1 and row[0][0] == "end":
             break
         if len(row) != 3:
             raise ConfigError("table rows are: <pos> <neg> <count>", row_line, 1)
         (pos_text, pos_col), (neg_text, neg_col), (count_text, count_col) = row
-        pos = _parse_collection(pos_text, doc.registry, "positive", row_line, pos_col)
-        neg = _parse_collection(neg_text, doc.registry, "negative", row_line, neg_col)
+        pos = _parse_collection(pos_text, lines, doc.registry, "positive", row_line, pos_col)
+        neg = _parse_collection(neg_text, lines, doc.registry, "negative", row_line, neg_col)
         count = _parse_fraction(count_text, row_line, count_col)
         key = (pos.key(), neg.key())
-        if key in entries:
+        if key in rows:
             raise ConfigError("duplicate table row", row_line, 1)
-        entries[key] = count
+        rows[key] = (row_line, pos, neg, count)
     if orbit_item is not None:
         _at(lineno, orbit_item[1], doc.registry.get, orbit_item[0])
-        table = CountTable("orbit", orbit_item[0], entries, doc.registry)
+        table = CountTable("orbit", orbit_item[0], {}, doc.registry)
     else:
-        base = doc.curve(curve_item[0])
-        table = CountTable("curve", curve_item[0], entries, doc.registry, base=base)
+        table = CountTable("curve", curve_item[0], {}, doc.registry,
+                           base=doc.curve(curve_item[0]))
+    # each row is validated once, on the collections parsed above, and placed at its line
+    for row_line, pos, neg, count in rows.values():
+        _at(row_line, 1, table._add, pos, neg, count)
     doc.tables[name] = table
 
 

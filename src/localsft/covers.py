@@ -41,7 +41,7 @@ from .errors import (
     NotImmersed,
     OddChern,
 )
-from .orbits import EMPTY_COLLECTION, OrbitCollection, ReebOrbit, cz_iterate
+from .orbits import EMPTY_COLLECTION, OrbitCollection, ReebOrbit, _cached, cz_iterate
 
 HURWITZ_DEGREE_BOUND = 12
 HURWITZ_BRANCH_POINT_BOUND = 1000
@@ -130,12 +130,12 @@ class CoverSpec:
     def ends(self, side: str) -> OrbitCollection:
         return self.positive_ends if side == "positive" else self.negative_ends
 
-    @functools.cached_property
+    @_cached
     def ramification(self) -> int:
         """Riemann-Hurwitz count of a connected cover, unchecked."""
         return self.degree * (2 - self.base.punctures) - (2 - self.punctures)
 
-    @functools.cached_property
+    @_cached
     def index(self) -> int:
         """Fredholm index of a connected cover; validates the spec once."""
         validate_cover(self)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 from math import prod
 from operator import attrgetter, itemgetter
@@ -119,14 +118,38 @@ _ITERATE_ORDER = attrgetter("orbit.name", "k")
 _NAME = itemgetter(0)
 
 
+class _cached:
+    """A per-instance cache like ``functools.cached_property``, without its lock.
+
+    On Python 3.11 ``cached_property`` takes an ``RLock`` on every first
+    access, and most collections and cover specs are read once.  This is a
+    non-data descriptor: the first read stores the value in the instance
+    ``__dict__`` (frozen dataclasses included), where later reads find it
+    first.  A read that raises stores nothing, so it raises again.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class OrbitCollection:
     """A multiset of orbit iterates: the asymptotics of one end.
 
     Canonical at construction: ``items`` is sorted by (orbit name, k), so
     collections that differ only in order compare, hash and render equal.
-    The key, the rendering and the per-orbit totals are computed once, on
-    first use.
+    The key is built with that sort; the rendering and the per-orbit totals
+    are computed once, on first use.
     """
 
     items: tuple[OrbitIterate, ...] = ()
@@ -135,23 +158,21 @@ class OrbitCollection:
     def __post_init__(self):
         if self.sign not in ("positive", "negative"):
             raise InvalidOrbit(f"collection sign must be positive/negative, got {self.sign!r}")
-        object.__setattr__(self, "items", tuple(sorted(self.items, key=_ITERATE_ORDER)))
+        items = sorted(self.items, key=_ITERATE_ORDER)
+        object.__setattr__(self, "items", tuple(items))
+        self.__dict__["_key"] = tuple(map(_ITERATE_ORDER, items))
 
-    @cached_property
+    @_cached
     def multiplicities(self) -> dict[str, int]:
         """Orbit name -> total multiplicity of its iterates (cached: do not mutate)."""
         return {name: sum(k for _, k in pairs) for name, pairs in groupby(self._key, _NAME)}
 
-    @cached_property
+    @_cached
     def end_counts(self) -> dict[str, int]:
         """Orbit name -> number of its iterates (cached: do not mutate)."""
         return {name: len(list(pairs)) for name, pairs in groupby(self._key, _NAME)}
 
-    @cached_property
-    def _key(self) -> tuple[tuple[str, int], ...]:
-        return tuple(map(_ITERATE_ORDER, self.items))
-
-    @cached_property
+    @_cached
     def _render(self) -> str:
         return "(" + ",".join(it.name for it in self.items) + ")"
 

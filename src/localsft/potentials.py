@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import itemgetter
 
 from .algebra import (
     GradedSeries,
@@ -58,6 +59,7 @@ from .orbits import (
 
 CollectionKey = tuple[tuple[str, int], ...]
 TableKey = tuple[CollectionKey, CollectionKey]
+_FIRST = itemgetter(0)
 
 
 def _render_key(key: CollectionKey) -> str:
@@ -67,9 +69,11 @@ def _render_key(key: CollectionKey) -> str:
 class CountTable:
     """Exact rational counts of perturbed cover spaces, keyed by asymptotics.
 
-    Keys are canonicalized to unordered multisets.  Entries whose implied
-    cover fails the obstruction-bundle rank hypotheses are flagged rather
-    than rejected.
+    Keys are canonicalized to unordered multisets.  Each row is validated
+    once, on its pair of collections: the constructor builds them from its
+    keys, and the config parser hands ``_add`` the collections it parsed.
+    Entries whose implied cover fails the obstruction-bundle rank
+    hypotheses are flagged rather than rejected.
     """
 
     def __init__(self, context_kind: str, context_name: str,
@@ -88,56 +92,57 @@ class CountTable:
         self.base = base
         self.entries: dict[TableKey, Fraction] = {}
         self.hypothesis_ok: dict[TableKey, bool] = {}
-        for key, count in entries.items():
-            key = (tuple(sorted(key[0])), tuple(sorted(key[1])))
-            spec = self._validate_key(key)
-            if key in self.entries:
-                raise InadmissibleKey(f"duplicate table key {self._describe_key(key)}")
-            self.entries[key] = Fraction(count)
-            self.hypothesis_ok[key] = self._check_hypotheses(spec)
+        for (pos_key, neg_key), count in entries.items():
+            self._add(self._collection(pos_key, "positive"),
+                      self._collection(neg_key, "negative"), count)
 
-    def _describe_key(self, key: TableKey) -> str:
-        return f"{_render_key(key[0])}|{_render_key(key[1])}"
+    def _collection(self, side_key: CollectionKey, sign: str) -> OrbitCollection:
+        """One side of a key as a collection; raises for an unknown orbit."""
+        for name, _ in side_key:
+            if name not in self.registry:
+                raise InadmissibleKey(f"unknown orbit {name!r} in table key")
+        return OrbitCollection(tuple(self.registry.get(name).iterate(k)
+                                     for name, k in side_key), sign=sign)
 
-    def _validate_key(self, key: TableKey) -> CoverSpec:
-        """The validated cover spec of a sorted key; raises for an inadmissible key."""
-        sides = []
-        for side_key in key:
-            for name, _ in side_key:
-                if name not in self.registry:
-                    raise InadmissibleKey(f"unknown orbit {name!r} in table key")
-            items: list[OrbitIterate] = []
-            for (name, k), copies in itertools.groupby(side_key):
-                it = self.registry.get(name).iterate(k)
+    def _add(self, pos: OrbitCollection, neg: OrbitCollection, count: Fraction) -> None:
+        """Validate the row ``pos|neg`` and record its count; raises for an inadmissible key."""
+        spec = self._validate(pos, neg)
+        key = (pos.key(), neg.key())
+        if key in self.entries:
+            raise InadmissibleKey(f"duplicate table key {pos.render()}|{neg.render()}")
+        self.entries[key] = Fraction(count)
+        self.hypothesis_ok[key] = self._check_hypotheses(spec)
+
+    def _validate(self, pos: OrbitCollection, neg: OrbitCollection) -> CoverSpec:
+        """The validated cover spec of a row; raises for an inadmissible key."""
+        def reject(reason: str) -> InadmissibleKey:
+            return InadmissibleKey(f"key {pos.render()}|{neg.render()}: {reason}")
+
+        for coll in (pos, neg):
+            for _, copies in itertools.groupby(zip(coll.key(), coll.items), key=_FIRST):
+                it = next(copies)[1]
                 if not is_good(it):
-                    raise InadmissibleKey(
-                        f"key {self._describe_key(key)}: bad iterate {it.name} carries "
-                        f"no variables")
-                times = len(list(copies))
-                if times > 1 and variable_degree(it, "q") % 2 == 1:
-                    raise InadmissibleKey(
-                        f"key {self._describe_key(key)}: odd iterate {it.name} repeats; "
-                        f"its monomial vanishes and the weight is not invertible")
-                items += [it] * times
-            sides.append(OrbitCollection(tuple(items)))
-        pos, neg = sides
+                    raise reject(f"bad iterate {it.name} carries no variables")
+                if next(copies, None) is not None and variable_degree(it, "q") % 2 == 1:
+                    raise reject(f"odd iterate {it.name} repeats; its monomial vanishes "
+                                 f"and the weight is not invertible")
         degrees = set()
         for side, coll in (("positive", pos), ("negative", neg)):
             base_total = self.base.ends(side).total_multiplicity()
             if base_total:
                 total = coll.total_multiplicity()
                 if total % base_total:
-                    raise InadmissibleKey(
-                        f"key {self._describe_key(key)}: multiplicity {total} is not "
-                        f"a multiple of the base profile {base_total}")
+                    raise reject(f"multiplicity {total} is not a multiple of the base "
+                                 f"profile {base_total}")
                 degrees.add(total // base_total)
         if not degrees:
-            raise InadmissibleKey(
-                f"key {self._describe_key(key)}: cannot infer a covering degree")
+            raise reject("cannot infer a covering degree")
         if len(degrees) > 1:
-            raise InadmissibleKey(
-                f"key {self._describe_key(key)}: sides imply different degrees {sorted(degrees)}")
-        spec = CoverSpec(self.base, degrees.pop(), pos, neg)
+            raise reject(f"sides imply different degrees {sorted(degrees)}")
+        degree = degrees.pop()
+        if degree < 1:
+            raise reject(f"implies covering degree {degree}; cover degree must be positive")
+        spec = CoverSpec(self.base, degree, pos, neg)
         spec.index  # validates the spec once
         return spec
 

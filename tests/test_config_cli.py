@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localsft import cli
 from localsft.cli import main
 from localsft.config import parse_config, render_config
 from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
@@ -573,7 +574,17 @@ def test_unknown_names_are_positioned_parse_errors(statement, message):
     ("curve c index=0 pos=(g) pos=(g)", "line 2 col 25: duplicate key 'pos'"),
     ("curve c index=0 pos=(g) s=(g)", "line 2 col 25: unknown curve key 's'"),
     ("table T orbit=g\n(g) () g\nend", "line 3 col 8: expected a rational number, got 'g'"),
-], ids=["repeated-token", "suffix-of-earlier-token", "table-row"])
+    ("orbit z hyperbolic cz1=1\ntable T orbit=z\n(z) (z) 1\n(z^2) (z^2) 1\nend",
+     "line 5 col 1: key (z^2)|(z^2): bad iterate z^2 carries no variables"),
+    ("orbit h hyperbolic cz1=2\ntable T orbit=h\n(h,h) (h^2) 1\nend",
+     "line 4 col 1: key (h,h)|(h^2): odd iterate h repeats; its monomial vanishes and "
+     "the weight is not invertible"),
+    ("table T orbit=g\n(g) (g) 1\n(g^2) (g) 1\nend",
+     "line 4 col 1: key (g^2)|(g): sides imply different degrees [1, 2]"),
+    ("curve w index=0 neg=(g)\ntable T curve=w\n(g) () 1\nend",
+     "line 4 col 1: key (g)|(): implies covering degree 0; cover degree must be positive"),
+], ids=["repeated-token", "suffix-of-earlier-token", "table-row", "bad-iterate-row",
+        "odd-repeat-row", "unequal-degrees-row", "degree-zero-row"])
 def test_error_column_is_that_of_the_token_itself(statement, message):
     # not that of an earlier token with the same text, or containing it
     with pytest.raises(ConfigError) as err:
@@ -629,3 +640,20 @@ def test_mutated_example_check_gives_one_unquoted_error_line(tmp_path_factory, t
     assert "Traceback" not in err
     assert err == "" or re.fullmatch(r"error E_[A-Z_]+: [^\n]+\n", err), err
     assert '"unknown' not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls():
+    import subprocess
+    assert cli.build_parser() is cli.build_parser()
+    code, records, _ = run_cli("--config", str(EXAMPLE), "cz", "--format", "records")
+    assert code == 0 and records.startswith("orbit=")
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("strata")  # the cover argument is missing: argparse exits
+    assert exit_.value.code == 2
+    assert run_cli("--config", str(EXAMPLE), "strata", "nosuch") == (
+        2, "", "error E_PARSE: unknown cover 'nosuch'\n")
+    code, out, err = run_cli("--config", str(EXAMPLE), "cz")
+    fresh = subprocess.run([sys.executable, "-m", "localsft.cli", "--config", str(EXAMPLE), "cz"],
+                           capture_output=True, text=True)
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert out.startswith("orbit  k  cz")

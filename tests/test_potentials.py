@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from localsft import potentials
 from localsft.algebra import (
@@ -13,10 +16,13 @@ from localsft.algebra import (
     reside,
     substitute,
 )
+from localsft.config import parse_config
 from localsft.covers import BaseCurve
 from localsft.errors import (
+    ConfigError,
     InadmissibleKey,
     InvalidTruncation,
+    LocalSFTError,
     NoFormalSolution,
     RegistryMismatch,
 )
@@ -25,6 +31,7 @@ from localsft.potentials import (
     CountTable,
     _external_truncate,
     Potential,
+    _render_key,
     assert_hamiltonian_vanishes,
     compose_sharp,
     hamilton_jacobi_rhs,
@@ -81,6 +88,112 @@ class TestCountTable:
         table = CountTable("orbit", "a",
                            {((("a", 1), ("a", 1)), (("a", 2),)): Fraction(1)}, REG)
         assert all(table.hypothesis_ok.values())
+
+    def test_degree_zero_key_rejected_with_its_key(self):
+        # no ends on the base's positive side and none on the row's negative side
+        base = BaseCurve("w", negative_ends=OrbitCollection((REG.get("a").iterate(1),),
+                                                            sign="negative"))
+        with pytest.raises(InadmissibleKey) as err:
+            CountTable("curve", "w", {((("a", 1),), ()): Fraction(1)}, REG, base=base)
+        assert str(err.value) == ("key (a)|(): implies covering degree 0; cover degree "
+                                  "must be positive")
+
+
+# -- table rows: the parsed-collection path against the key-based constructor --------
+
+_ROW_ORBITS = ("orbit e0 elliptic theta=2/9 max_iterate=8\n"
+               "orbit e1 elliptic theta=7/9 max_iterate=8\n"
+               "orbit h0 hyperbolic cz1=2\n"
+               "orbit h2 hyperbolic cz1=-3\n")
+# table context -> (the statement declaring its curve, the orbits of the base's positive
+# and negative ends), in the shape of the benchmark's stress config: orbit cylinders,
+# planes, a cobordism and a two-orbit neck side
+_ROW_CONTEXTS = {
+    "orbit=e0": ("", ("e0",), ("e0",)),
+    "orbit=h0": ("", ("h0",), ("h0",)),
+    "orbit=h2": ("", ("h2",), ("h2",)),
+    "curve=me0": ("curve me0 index=0 rel_c1_doubled=0 pos=(e0)\n", ("e0",), ()),
+    "curve=ce": ("curve ce index=0 rel_c1_doubled=0 pos=(e0) neg=(e1)\n", ("e0",), ("e1",)),
+    "curve=mnk": ("curve mnk index=0 rel_c1_doubled=0 pos=(h0,h2)\n", ("h0", "h2"), ()),
+}
+_PARTITIONS = {1: [(1,)], 2: [(2,), (1, 1)], 3: [(3,), (2, 1), (1, 1, 1)]}
+_ATOMS = st.tuples(st.sampled_from(("e0", "e1", "h0", "h2")), st.integers(1, 3))
+
+
+@st.composite
+def _table_row(draw, pos_orbits, neg_orbits):
+    """A row that covers the base ends with one degree, disturbed one side in four."""
+    degree = draw(st.integers(1, 3))
+    sides = []
+    for orbits in (pos_orbits, neg_orbits):
+        atoms = [(name, k) for name in orbits for k in draw(st.sampled_from(_PARTITIONS[degree]))]
+        disturb = draw(st.sampled_from(["none", "none", "none", "add", "drop"]))
+        if disturb == "add":
+            atoms.append(draw(_ATOMS))
+        elif disturb == "drop":
+            atoms = atoms[1:]
+        sides.append(tuple(draw(st.permutations(atoms))))
+    count = draw(st.tuples(st.integers(-9, 9), st.integers(1, 9)))
+    return sides[0], sides[1], Fraction(*count)
+
+
+@st.composite
+def _table_rows(draw):
+    context = draw(st.sampled_from(sorted(_ROW_CONTEXTS)))
+    rows = draw(st.lists(_table_row(*_ROW_CONTEXTS[context][1:]), max_size=5,
+                         unique_by=lambda row: (tuple(sorted(row[0])), tuple(sorted(row[1])))))
+    return context, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_rows())
+@example(("orbit=h2", [((("h2", 2),), (("h2", 2),), Fraction(1))]))  # bad iterate
+@example(("orbit=h0", [((("h0", 1), ("h0", 1)), (("h0", 2),), Fraction(1, 2))]))  # odd repeat
+@example(("curve=mnk", [((("h0", 1),), (), Fraction(1))]))  # not a multiple of the base
+@example(("curve=ce", [((("e0", 2),), (("e1", 1),), Fraction(1))]))  # unequal degrees
+@example(("curve=me0", [((), (), Fraction(1))]))  # degree 0
+@example(("curve=ce", [((("e0", 1),), (("e1", 1),), Fraction(2)),
+                       ((("e0", 1), ("e0", 1)), (("e1", 2),), Fraction(-1, 3))]))
+def test_parsed_rows_match_the_key_based_table(context_rows):
+    context, rows = context_rows
+    kind, name = context.split("=")
+    header = _ROW_ORBITS + _ROW_CONTEXTS[context][0]
+    declared = parse_config(header)
+    text = (header + f"table T {context}\n"
+            + "".join(f"{_render_key(pos)} {_render_key(neg)} {count}\n"
+                      for pos, neg, count in rows)
+            + "end\n")
+
+    def key_table(n):
+        return CountTable(kind, name, {(pos, neg): count for pos, neg, count in rows[:n]},
+                          declared.registry, base=declared.curves.get(name))
+
+    for n in range(len(rows) + 1):
+        try:
+            want = key_table(n)
+        except LocalSFTError as exc:
+            # row n - 1 is the first whose key the key path rejects
+            with pytest.raises(ConfigError) as err:
+                parse_config(text)
+            assert str(err.value) == f"line {header.count(chr(10)) + n + 1} col 1: {exc}"
+            # the parser positions what its row path raised: the same class and text
+            assert type(err.value.__context__) is type(exc)
+            assert str(err.value.__context__) == str(exc)
+            return
+    got = parse_config(text).tables["T"]
+    assert got.entries == want.entries
+    assert got.hypothesis_ok == want.hypothesis_ok
+
+
+def test_parse_resolves_each_row_orbit_name_once(monkeypatch):
+    names = []
+    get = OrbitRegistry.get
+    monkeypatch.setattr(OrbitRegistry, "get", lambda self, name: names.append(name) or get(self, name))
+    doc = parse_config(_ROW_ORBITS + _ROW_CONTEXTS["curve=ce"][0]
+                       + "table T curve=ce\n(e0,e0) (e1^2) 1\n(e0^2) (e1,e1) 2\nend\n")
+    assert len(doc.tables["T"].entries) == 2
+    # the curve's ends once, then every atom of the rows once
+    assert Counter(names) == {"e0": 1 + 3, "e1": 1 + 3}
 
 
 class TestWeights:
