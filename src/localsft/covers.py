@@ -18,8 +18,9 @@ point pinned to a special point already kills the translation.
 A ``CoverSpec`` validates once and caches its ramification and index;
 every number above is read from those two.  Marks change neither, so
 ``boundary_strata`` keeps a per-call table of unmarked levels (base,
-degree, ends), validates each level once and lets its marked nodes reuse
-the level's numbers.
+degree, ends), splits and validates each level once and lets its marked
+nodes reuse the level's numbers: ramification, index, cokernel rank and
+node id prefix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import NamedTuple
 
 from .errors import (
     DegreeTooLarge,
@@ -385,58 +385,15 @@ def end_profiles(orbit: ReebOrbit, total: int) -> list[OrbitCollection]:
             for parts in _partitions(total)]
 
 
-def _mixed_profiles(orbits: list[ReebOrbit], total_each: int) -> list[OrbitCollection]:
-    """Cartesian products of per-orbit end profiles, one block per orbit."""
-    blocks = [end_profiles(orbit, total_each) for orbit in orbits]
+def _mixed_profiles(orbits: list[ReebOrbit], total_each: int,
+                    profiles) -> list[OrbitCollection]:
+    """Cartesian products of per-orbit end profiles ``profiles(orbit, total_each)``."""
+    blocks = [profiles(orbit, total_each) for orbit in orbits]
     out = []
     for combo in itertools.product(*blocks):
         items = tuple(it for block in combo for it in block)
         out.append(OrbitCollection(items))
     return out
-
-
-def _make_node(level: CoverSpec, marks: tuple[int, int], components: int,
-               tag: str) -> StratumNode | None:
-    """Annotated stratum node, or None when no such cover exists at all.
-
-    ``level`` is the first spec of the node's unmarked level.  Marks change
-    neither the ramification nor the index, so the node's spec takes
-    ``marks`` with the level's cached numbers and is not validated again.
-    """
-    z = level.ramification - 2 * (components - 1)
-    if z < 0:
-        return None
-    spec = level
-    if marks != (level.marked_points, level.constrained_branch_points):
-        spec = CoverSpec(level.base, level.degree, level.positive_ends, level.negative_ends,
-                         *marks)
-        spec.__dict__.update(ramification=level.ramification, index=level.index)
-    unperturbed = None
-    rank = None
-    empty = False
-    if spec.base.immersed:
-        unperturbed = spec.base.index + 2 * z - 2 * spec.constrained_branch_points
-        if unperturbed < 0:
-            # branch-point constraint cannot be met; keep the descriptor
-            empty = True
-            unperturbed = None
-        elif components == 1:
-            try:
-                rank = cokernel_rank(spec)
-            except HypothesesViolated:
-                rank = None
-    return StratumNode(
-        node_id=(f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
-                 f"/{spec.negative_ends.render()}:r{marks[0]}c{marks[1]}:n{components}:{tag}"),
-        spec=spec,
-        components=components,
-        level=tag,
-        index=fredholm_index(spec, components),
-        virtual_dim=virtual_dimension(spec, components),
-        unperturbed_dim=unperturbed,
-        obstruction_rank=rank,
-        empty=empty,
-    )
 
 
 def _component_bound_for_base_cover(spec: CoverSpec) -> int:
@@ -474,23 +431,25 @@ def _glue(upper: CoverSpec, lower: CoverSpec, middles: list[OrbitCollection],
         yield (*(glued[::-1] if lower_first else glued), middle, lower_first)
 
 
-def _splittings(spec: CoverSpec, neck: NeckSplit | None):
+def _splittings(spec: CoverSpec, neck: NeckSplit | None, profiles):
     """Two-level splittings of ``spec``, as ``_glue`` yields them.
 
     A cover of an orbit cylinder splits into two cylinder levels, a cover of
     another punctured base splits off one cylinder level over one orbit of
-    one side, and a cover of a closed curve splits along the neck.
+    one side, and a cover of a closed curve splits along the neck.  The
+    middles over one orbit are ``profiles(orbit, total)``, one call's memo
+    of ``end_profiles``.
     """
     if spec.base.closed:
         orbits = sorted(neck.orbits, key=lambda o: o.name)
         yield from _glue(CoverSpec(neck.side_plus, spec.degree),
                          CoverSpec(neck.side_minus, spec.degree),
-                         _mixed_profiles(orbits, spec.degree), (MIDDLE, MIDDLE))
+                         _mixed_profiles(orbits, spec.degree, profiles), (MIDDLE, MIDDLE))
     elif is_orbit_cylinder(spec.base):
         orbit = spec.base.positive_ends.items[0].orbit
         yield from _glue(CoverSpec(spec.base, spec.degree, spec.positive_ends),
                          CoverSpec(spec.base, spec.degree, negative_ends=spec.negative_ends),
-                         end_profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
+                         profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
     else:
         for side in ("positive", "negative"):
             ends = spec.ends(side)
@@ -501,7 +460,7 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
                                        sign=side)
                 cyl = CoverSpec(cylinder_over(orbit), sum(it.k for it in active),
                                 **{f"{side}_ends": OrbitCollection(active, sign=side)})
-                middles = end_profiles(orbit, cyl.degree)
+                middles = profiles(orbit, cyl.degree)
                 if side == "positive":
                     main = CoverSpec(spec.base, spec.degree, rest, spec.negative_ends)
                     yield from _glue(cyl, main, middles, (TOP_CYLINDER, MIDDLE))
@@ -511,13 +470,75 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None):
                                      lower_first=True)
 
 
-class _Level(NamedTuple):
-    """An unmarked level of one ``boundary_strata`` call."""
+class _Level:
+    """An unmarked level (base, degree, ends) of one ``boundary_strata`` call.
 
-    key: tuple  # (base name, degree, positive ends key, negative ends key)
-    spec: CoverSpec  # the first spec seen; only the root's has marks
-    bound: int  # at most this many components, by _component_bound_for_base_cover
-    trivial: int  # components of it as a union of trivial cylinders, or 0
+    It holds what marks do not change: the first spec seen (only the
+    root's has marks), the component bound, the component count at which
+    it is a union of trivial cylinders (or 0), whether its base is an orbit
+    cylinder, the ``base:dN:(pos)/(neg)`` prefix of its node ids and its
+    cokernel rank, read on its first connected node.
+    """
+
+    def __init__(self, key: tuple, spec: CoverSpec):
+        self.key = key  # (base name, degree, positive ends key, negative ends key)
+        self.spec = spec
+        self.bound = _component_bound_for_base_cover(spec)
+        self.cylinder = is_orbit_cylinder(spec.base)
+        self.trivial = len(key[2]) if self.cylinder and key[2] == key[3] else 0
+        self.prefix = (f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
+                       f"/{spec.negative_ends.render()}")
+
+    @_cached
+    def rank(self) -> int | None:
+        """Cokernel rank of a connected cover of this level, or None off its hypotheses."""
+        try:
+            return cokernel_rank(self.spec)
+        except HypothesesViolated:
+            return None
+
+
+def _make_node(level: _Level, marks: tuple[int, int], components: int,
+               tag: str) -> StratumNode | None:
+    """Annotated stratum node, or None when no such cover exists at all.
+
+    Marks change neither the ramification, the index nor the cokernel rank,
+    so the node reads them from its unmarked ``level``, whose spec is
+    validated on its first node; the node's spec takes ``marks`` with the
+    level's cached numbers and is not validated again.
+    """
+    spec = level.spec
+    z = spec.ramification - 2 * (components - 1)
+    if z < 0:
+        return None
+    index = spec.index  # validates the level on its first node
+    if marks != (spec.marked_points, spec.constrained_branch_points):
+        spec = CoverSpec(spec.base, spec.degree, spec.positive_ends, spec.negative_ends, *marks)
+        spec.__dict__.update(ramification=level.spec.ramification, index=index)
+    unperturbed = None
+    rank = None
+    empty = False
+    if spec.base.immersed:
+        unperturbed = spec.base.index + 2 * z - 2 * marks[1]
+        if unperturbed < 0:
+            # branch-point constraint cannot be met; keep the descriptor
+            empty = True
+            unperturbed = None
+        elif components == 1:
+            rank = level.rank
+    index -= 2 * (components - 1)
+    return StratumNode(
+        node_id=f"{level.prefix}:r{marks[0]}c{marks[1]}:n{components}:{tag}",
+        spec=spec,
+        components=components,
+        level=tag,
+        index=index,
+        # the translation quotient of an unmarked cylinder cover, as in virtual_dimension
+        virtual_dim=index - 2 * marks[1] - (1 if level.cylinder and not marks[0] else 0),
+        unperturbed_dim=unperturbed,
+        obstruction_rank=rank,
+        empty=empty,
+    )
 
 
 def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
@@ -529,36 +550,50 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     curves with a declared neck) count as one step and are tagged "neck";
     ordinary two-level splittings are tagged "sft".
 
-    One call keeps a table of unmarked levels (base name, degree, ends),
-    each with its first spec, its component bound and the component count
-    at which it is a union of trivial cylinders, and validated once.  Marks
-    ride beside the levels; a node, keyed by its level, marks, components
-    and tag, is annotated once.
+    One call keeps a table of unmarked levels (base name, degree, ends).
+    A level is split once, whatever the marks of the nodes split over it,
+    and holds the numbers its nodes share: the id prefix, the
+    orbit-cylinder flag and the cokernel rank.  Its spec is validated on
+    its first node, so glued levels without nodes are never validated.
+    The middle profiles over one orbit with one total multiplicity are
+    built once.  Marks ride beside the levels; a node, keyed by its level,
+    marks, components and tag, is annotated once.
     """
     levels: dict[tuple, _Level] = {}
+    # each level's splittings, kept off the levels: a level can split into itself,
+    # and holding its own splittings it would be a reference cycle
+    split_table: dict[tuple, list[tuple]] = {}
     nodes: dict[tuple, StratumNode | None] = {}
+    middles = functools.cache(end_profiles)  # this call's only: freed on return
 
     def level(level_spec: CoverSpec) -> _Level:
-        pos, neg = level_spec.positive_ends.key(), level_spec.negative_ends.key()
-        key = (level_spec.base.name, level_spec.degree, pos, neg)
+        key = (level_spec.base.name, level_spec.degree, level_spec.positive_ends.key(),
+               level_spec.negative_ends.key())
         if key not in levels:
-            trivial = len(pos) if pos == neg and is_orbit_cylinder(level_spec.base) else 0
-            levels[key] = _Level(key, level_spec, _component_bound_for_base_cover(level_spec),
-                                 trivial)
+            levels[key] = _Level(key, level_spec)
         return levels[key]
+
+    def splits(lvl: _Level) -> list[tuple]:
+        if lvl.key not in split_table:
+            split_table[lvl.key] = [
+                (level(first), first_tag, level(second), second_tag, middle, lower_first)
+                for (first, first_tag), (second, second_tag), middle, lower_first
+                in _splittings(lvl.spec, neck, middles)]
+        return split_table[lvl.key]
 
     def node(lvl: _Level, marks: tuple[int, int], components: int,
              tag: str) -> StratumNode | None:
         key = (lvl.key, marks, components, tag)
         if key not in nodes:
-            nodes[key] = _make_node(lvl.spec, marks, components, tag)
+            nodes[key] = _make_node(lvl, marks, components, tag)
         return nodes[key]
 
     spec.index  # validates the root once
-    root = node(level(spec), (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
+    root_level = level(spec)
+    root = node(root_level, (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
-    queue: list[tuple[StratumNode, int]] = [(root, 0)]
-    for parent, codim in queue:
+    queue: list[tuple[StratumNode, _Level, int]] = [(root, root_level, 0)]
+    for parent, parent_level, codim in queue:
         if codim >= max_codim or parent.components != 1:
             continue
         closed = parent.spec.base.closed
@@ -567,13 +602,12 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
         kind = "neck" if closed else "sft"
         placements = _marked_placements(parent.spec.marked_points,
                                         parent.spec.constrained_branch_points)
-        for (first, first_tag), (second, second_tag), middle, lower_first in _splittings(
-                parent.spec, neck):
-            first, second = level(first), level(second)
+        for first, first_tag, second, second_tag, middle, lower_first in splits(parent_level):
+            # genus zero: the component counts sum to one more than the middle
+            total = len(middle) + 1
             for marks_first, marks_second in placements:
                 for n_first in range(1, first.bound + 1):
-                    # genus zero: the component counts sum to one more than the middle
-                    n_second = len(middle) + 1 - n_first
+                    n_second = total - n_first
                     if not 1 <= n_second <= second.bound:
                         continue
                     if ((n_first == first.trivial and marks_first == (0, 0))
@@ -583,13 +617,13 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
                     b = node(second, marks_second, n_second, second_tag)
                     if a is None or b is None:
                         continue
-                    upper, lower = (b, a) if lower_first else (a, b)
-                    for child in (upper, lower):
+                    children = ((b, second), (a, first)) if lower_first else ((a, first), (b, second))
+                    for child, child_level in children:
                         if child.node_id not in graph.nodes:
                             graph.nodes[child.node_id] = child
-                            queue.append((child, codim + 1))
-                    graph.edges.append(StratumEdge(parent.node_id, upper.node_id,
-                                                   lower.node_id, middle, kind))
+                            queue.append((child, child_level, codim + 1))
+                    graph.edges.append(StratumEdge(parent.node_id, children[0][0].node_id,
+                                                   children[1][0].node_id, middle, kind))
     return graph
 
 

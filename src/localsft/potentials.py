@@ -44,6 +44,7 @@ from .covers import BaseCurve, CoverSpec, cokernel_rank, cylinder_over
 from .errors import (
     HypothesesViolated,
     InadmissibleKey,
+    InconsistentProfile,
     InvalidTable,
     InvalidVariable,
     NoFormalSolution,
@@ -143,7 +144,11 @@ class CountTable:
         if degree < 1:
             raise reject(f"implies covering degree {degree}; cover degree must be positive")
         spec = CoverSpec(self.base, degree, pos, neg)
-        spec.index  # validates the spec once
+        try:
+            spec.index  # validates the spec once
+        except InconsistentProfile as exc:
+            # ends of other orbits than the base's, or a negative ramification
+            raise reject(str(exc)) from exc
         return spec
 
     @staticmethod

@@ -605,6 +605,22 @@ def test_curve_names_of_orbit_cylinders_are_reserved(tmp_path, name):
                    f"for orbit cylinders\n")
 
 
+def test_table_row_off_the_base_orbits_names_its_key(tmp_path):
+    # the row's multiplicity is the base's, but over another orbit
+    cfg = tmp_path / "offbase.cfg"
+    cfg.write_text("orbit e0 elliptic theta=3/10 max_iterate=4\n"
+                   "orbit h3 hyperbolic cz1=3\n"
+                   "curve me0 index=0 rel_c1_doubled=0 pos=(e0)\n"
+                   "table T curve=me0\n"
+                   "(e0) () 1\n"
+                   "(h3) () 1\n"
+                   "end\n")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, out) == (2, "")
+    assert err == ("error E_PARSE: line 6 col 1: key (h3)|(): M[me0,1]((h3)|()): positive "
+                   "ends {'h3': 1} do not cover the base profile {'e0': 1} with degree 1\n")
+
+
 _EXAMPLE_LINES = EXAMPLE.read_text().splitlines()
 _TOKENS = [(i, j) for i, line in enumerate(_EXAMPLE_LINES) if not line.startswith("#")
            for j in range(len(line.split()))]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -25,6 +26,7 @@ from localsft.covers import (
     tangency_dimension,
     tangency_report,
     validate_cover,
+    virtual_dimension,
 )
 from localsft.errors import (
     HypothesesViolated,
@@ -584,6 +586,50 @@ def test_codim_one_strata_match_brute_force(case):
     assert set(got) == _codim_one_by_brute_force(spec, neck)
 
 
+# -- level-cached node numbers against the public functions ------------------------
+
+
+def _assert_nodes_match_public_numbers(graph):
+    """Each node's numbers, recomputed from a fresh copy of its spec."""
+    for node in graph.node_list():
+        spec, n = replace(node.spec), node.components  # no cached numbers
+        assert spec == node.spec
+        assert node.index == fredholm_index(spec, n)
+        assert node.virtual_dim == virtual_dimension(spec, n)
+        # each component past the first takes two branch points from the cover
+        unperturbed = tangency_dimension(spec) - 4 * (n - 1) if spec.base.immersed else None
+        empty = unperturbed is not None and unperturbed < 0
+        rank = None
+        if empty:
+            unperturbed = None
+        elif unperturbed is not None and n == 1:
+            try:
+                rank = cokernel_rank(spec)
+            except HypothesesViolated:
+                pass
+        assert (node.unperturbed_dim, node.empty, node.obstruction_rank) == (
+            unperturbed, empty, rank), node.describe()
+        assert node.node_id == (f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
+                                f"/{spec.negative_ends.render()}:r{spec.marked_points}"
+                                f"c{spec.constrained_branch_points}:n{n}:{node.level}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(strata_cases())
+def test_strata_node_numbers_match_the_public_functions(case):
+    spec, neck = case
+    for split in (None, neck) if neck else (None,):
+        _assert_nodes_match_public_numbers(boundary_strata(spec, neck=split, max_codim=2))
+
+
+def test_example_strata_node_numbers_match_the_public_functions():
+    doc = parse_config(EXAMPLE.read_text())
+    for spec in doc.covers.values():
+        for neck in (None, *doc.necks.values()):
+            _assert_nodes_match_public_numbers(
+                boundary_strata(spec, neck=neck.split() if neck else None, max_codim=3))
+
+
 # -- cached cover numbers ---------------------------------------------------------
 
 
@@ -666,6 +712,43 @@ def test_strata_validate_each_unmarked_level_at_most_once(monkeypatch, cover, ne
     graph = boundary_strata(doc.covers[cover], neck=split, max_codim=3)
     assert graph.edges and levels
     assert len(levels) == len(set(levels))
+
+
+@pytest.mark.parametrize("cover, neck", [("cyl_pair", None), ("sphere_marked", "stretch")])
+def test_strata_split_each_unmarked_level_at_most_once(monkeypatch, cover, neck):
+    # a level's splittings do not read marks, so the nodes over it share them;
+    # the middles over one orbit with one total are built once per call
+    doc = parse_config(EXAMPLE.read_text())
+    split = doc.necks[neck].split() if neck else None
+    levels, profiles = [], []
+    splittings, end_profiles = covers._splittings, covers.end_profiles
+    monkeypatch.setattr(covers, "_splittings", lambda spec, *args: levels.append(
+        (spec.base.name, spec.degree, spec.positive_ends.key(), spec.negative_ends.key()))
+        or splittings(spec, *args))
+    monkeypatch.setattr(covers, "end_profiles", lambda orbit, total: profiles.append(
+        (orbit.name, total)) or end_profiles(orbit, total))
+    for _ in range(2):  # nothing is kept across calls: the second splits again
+        levels.clear()
+        profiles.clear()
+        graph = boundary_strata(doc.covers[cover], neck=split, max_codim=3)
+        assert graph.edges and levels and profiles
+        assert len(levels) == len(set(levels))
+        assert len(profiles) == len(set(profiles))
+
+
+def test_strata_leave_no_reference_cycles():
+    # the per-call tables are freed on return, although a level can split into
+    # itself: a cylinder level over the middle equal to its negative ends
+    doc = parse_config(EXAMPLE.read_text())
+    gc.collect()
+    gc.disable()
+    try:
+        graph = boundary_strata(doc.covers["cyl_pair"], max_codim=3)
+        assert graph.edges
+        del graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _marked_cylinder_spec():

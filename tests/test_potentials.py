@@ -98,6 +98,24 @@ class TestCountTable:
         assert str(err.value) == ("key (a)|(): implies covering degree 0; cover degree "
                                   "must be positive")
 
+    @pytest.mark.parametrize("pos, neg, key, reason", [
+        # the totals agree with the base's, the orbits do not
+        (("a",), (), {((("b", 1),), ()): 1},
+         "key (b)|(): M[w,1]((b)|()): positive ends {'b': 1} do not cover the base "
+         "profile {'a': 1} with degree 1"),
+        # a double cover of a pair of pants with all ends unbranched
+        (("a", "gm"), ("gp",), {((("a", 2), ("gm", 2)), (("gp", 2),)): 1},
+         "key (a^2,gm^2)|(gp^2): M[w,2]((a^2,gm^2)|(gp^2)): negative total ramification"),
+    ], ids=["ends-off-the-base-orbits", "negative-ramification"])
+    def test_inconsistent_profile_rejected_with_its_key(self, pos, neg, key, reason):
+        base = BaseCurve("w", positive_ends=OrbitCollection(
+                             tuple(REG.get(name).iterate(1) for name in pos)),
+                         negative_ends=OrbitCollection(
+                             tuple(REG.get(name).iterate(1) for name in neg), sign="negative"))
+        with pytest.raises(InadmissibleKey) as err:
+            CountTable("curve", "w", key, REG, base=base)
+        assert str(err.value) == reason
+
 
 # -- table rows: the parsed-collection path against the key-based constructor --------
 
