@@ -222,12 +222,8 @@ def cmd_exceptional(args) -> int:
           f"c1={inv.c1} cover_indices="
           + ",".join(f"d{d}:{inv.cover_index(d)}" for d in range(1, 6)))
     print(f"constrained double-cover count = {result.value}")
-    if args.format == "records":
-        for step in result.trace:
-            for line in step.records():
-                print(line)
-    else:
-        print(ex.render_trace(result.trace))
+    render = ex.render_records if args.format == "records" else ex.render_trace
+    print(render(result.trace))
     return 0
 
 
@@ -242,9 +238,7 @@ def cmd_neckstretch(args) -> int:
     verdict = ex.elliptic_necessity(neck)
     if args.format == "records":
         print(f"verdict={verdict.kind}")
-        for step in verdict.derivation:
-            for line in step.records():
-                print(line)
+        print(ex.render_records(verdict.derivation))
     else:
         print(verdict.render())
     return 0
@@ -460,15 +454,9 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, key, value)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    except HYPOTHESIS_ERRORS as exc:
-        print(f"error {exc.code}: {exc}", file=sys.stderr)
-        return 3
     except LocalSFTError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, HYPOTHESIS_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ column: the 1-based column of the token's first character.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,14 +62,18 @@ class ConfigDocument:
         return self.curves[name]
 
 
-def _at(line: int, col: int, resolve, *args):
-    """``resolve(*args)``, with a library error positioned at the token at ``col``."""
+def _at(line: int, col: int | None, resolve, *args):
+    """``resolve(*args)``, with a library error placed at ``line`` and the token at ``col``.
+
+    An ``IterateOutOfRange`` keeps its own code; any other error becomes a ``ConfigError``.
+    """
     try:
         return resolve(*args)
-    except IterateOutOfRange as exc:
-        raise IterateOutOfRange(f"line {line} col {col}: {exc}") from None
     except LocalSFTError as exc:
-        raise ConfigError(str(exc), line, col) from None
+        placed = ConfigError(str(exc), line, col)
+        if isinstance(exc, IterateOutOfRange):
+            raise IterateOutOfRange(str(placed)) from None
+        raise placed from None
 
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
@@ -182,10 +187,15 @@ def parse_config(text: str) -> ConfigDocument:
     return doc
 
 
-def _statement_name(tokens: list[tuple[str, int]], lineno: int, what: str) -> str:
+def _statement_name(tokens: list[tuple[str, int]], lineno: int, what: str,
+                    taken: Container[str] = ()) -> str:
+    """The statement's name; ``taken`` holds the names its kind already has."""
     if len(tokens) < 2 or "=" in tokens[1][0]:
         raise ConfigError(f"{what} statement needs a name", lineno, 1)
-    return tokens[1][0]
+    name = tokens[1][0]
+    if name in taken:
+        raise ConfigError(f"duplicate {what} name {name!r}", lineno)
+    return name
 
 
 def _take(kv: dict[str, tuple[str, int]], key: str, parse, default, lineno: int):
@@ -219,28 +229,20 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, lines):
     max_iterate = kv.pop("max_iterate", None)
     morse = kv.pop("morse", None)
     _reject_unknown_keys(kv, "orbit", lineno)
-    try:
-        orbit = ReebOrbit(
-            name, kind,
-            theta=None if theta is None else _parse_fraction(theta[0], lineno, theta[1]),
-            cz1=None if cz1 is None else _parse_int(cz1[0], lineno, cz1[1]),
-            max_iterate=None if max_iterate is None else _parse_int(max_iterate[0], lineno, max_iterate[1]),
-            morse=True if morse is None else _parse_bool(morse[0], lineno, morse[1]),
-        )
-    except IterateOutOfRange as exc:
-        # an over-large max_iterate keeps its own code; the line says where
-        raise IterateOutOfRange(f"line {lineno}: {exc}") from None
-    doc.registry.add(orbit)
+    doc.registry.add(_at(
+        lineno, None, ReebOrbit, name, kind,
+        None if theta is None else _parse_fraction(theta[0], lineno, theta[1]),
+        None if cz1 is None else _parse_int(cz1[0], lineno, cz1[1]),
+        None if max_iterate is None else _parse_int(max_iterate[0], lineno, max_iterate[1]),
+        True if morse is None else _parse_bool(morse[0], lineno, morse[1])))
 
 
 def _parse_curve(doc: ConfigDocument, tokens, lineno, lines):
-    name = _statement_name(tokens, lineno, "curve")
+    name = _statement_name(tokens, lineno, "curve", doc.curves)
     if name.startswith(("cyl:", "cyl(")):
         # cyl:g refers to the cylinder over orbit g, and that curve is named cyl(g)
         raise ConfigError(f"curve name {name!r} is reserved for orbit cylinders",
                           lineno, tokens[1][1])
-    if name in doc.curves:
-        raise ConfigError(f"duplicate curve name {name!r}", lineno)
     kv = _split_kv(tokens[2:], lineno)
     closed = _take(kv, "closed", _parse_bool, False, lineno)
     immersed = _take(kv, "immersed", _parse_bool, True, lineno)
@@ -253,9 +255,7 @@ def _parse_curve(doc: ConfigDocument, tokens, lineno, lines):
 
 
 def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
-    name = _statement_name(tokens, lineno, "cover")
-    if name in doc.covers:
-        raise ConfigError(f"duplicate cover name {name!r}", lineno)
+    name = _statement_name(tokens, lineno, "cover", doc.covers)
     kv = _split_kv(tokens[2:], lineno)
     base_item = kv.pop("base", None)
     if base_item is None:
@@ -274,9 +274,7 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
 
 
 def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
-    name = _statement_name(tokens, lineno, "table")
-    if name in doc.tables:
-        raise ConfigError(f"duplicate table name {name!r}", lineno)
+    name = _statement_name(tokens, lineno, "table", doc.tables)
     kv = _split_kv(tokens[2:], lineno)
     orbit_item = kv.pop("orbit", None)
     curve_item = kv.pop("curve", None)
@@ -314,9 +312,7 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
 
 
 def _parse_neck(doc: ConfigDocument, tokens, lineno, lines):
-    name = _statement_name(tokens, lineno, "neck")
-    if name in doc.necks:
-        raise ConfigError(f"duplicate neck name {name!r}", lineno)
+    name = _statement_name(tokens, lineno, "neck", doc.necks)
     kv = _split_kv(tokens[2:], lineno)
     orbits_item = kv.pop("orbits", None)
     plus_item = kv.pop("plus", None)

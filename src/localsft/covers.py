@@ -250,6 +250,14 @@ def cokernel_rank(spec: CoverSpec) -> int:
     return bound - ind
 
 
+def obstruction_rank(spec: CoverSpec) -> int | None:
+    """``cokernel_rank(spec)``, or None where its hypotheses fail."""
+    try:
+        return cokernel_rank(spec)
+    except HypothesesViolated:
+        return None
+
+
 @dataclass(frozen=True)
 class NormalChernRecord:
     c_N_doubled: int
@@ -492,10 +500,7 @@ class _Level:
     @_cached
     def rank(self) -> int | None:
         """Cokernel rank of a connected cover of this level, or None off its hypotheses."""
-        try:
-            return cokernel_rank(self.spec)
-        except HypothesesViolated:
-            return None
+        return obstruction_rank(self.spec)
 
 
 def _make_node(level: _Level, marks: tuple[int, int], components: int,
@@ -649,16 +654,14 @@ def _check_hurwitz_input(d: int, end_profiles: list[tuple[int, ...]],
             raise InconsistentProfile(f"profile {profile} is not a partition of {d}")
 
 
-def _splits(mu: tuple[int, ...], s: int, memo: dict) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+@functools.cache
+def _splits(mu: tuple[int, ...], s: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each sub-multiset nu of mu with |nu| = s, paired with its complement."""
-    key = ("splits", mu, s)
-    if key not in memo:
-        parts = sorted(set(mu), reverse=True)
-        memo[key] = [(tuple(p for t, p in zip(takes, parts) for _ in range(t)),
-                      tuple(p for t, p in zip(takes, parts) for _ in range(mu.count(p) - t)))
-                     for takes in itertools.product(*(range(mu.count(p) + 1) for p in parts))
-                     if sum(t * p for t, p in zip(takes, parts)) == s]
-    return memo[key]
+    parts = sorted(set(mu), reverse=True)
+    return [(tuple(p for t, p in zip(takes, parts) for _ in range(t)),
+             tuple(p for t, p in zip(takes, parts) for _ in range(mu.count(p) - t)))
+            for takes in itertools.product(*(range(mu.count(p) + 1) for p in parts))
+            if sum(t * p for t, p in zip(takes, parts)) == s]
 
 
 def _moving(mus) -> tuple[tuple[int, ...], ...]:
@@ -703,27 +706,26 @@ def _irreducibles(d: int) -> list[tuple[frozenset[int], int, int]]:
     return out
 
 
-def _disconnected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
+@functools.cache
+def _disconnected(d: int, mus: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     """Tuples with identity product as ``{x: c}``, the count being ``sum c x^b / d!``.
 
     A tuple holds one permutation of each cycle type in ``mus`` and b
     transpositions.  By Frobenius, c sums ``(dim lambda)^2 prod f_lambda(mu)``
     over the lambda of content sum x, with the central characters
-    ``f_lambda(mu) = |C_mu| chi_lambda(mu) / dim lambda``.  ``memo`` holds one call's tables.
+    ``f_lambda(mu) = |C_mu| chi_lambda(mu) / dim lambda``.
     """
-    key = ("disconnected", d, mus)
-    if key not in memo:
-        sizes = [factorial(d) // prod(p ** mu.count(p) * factorial(mu.count(p)) for p in set(mu))
-                 for mu in mus]  # |C_mu| = d! / z_mu
-        total = Counter()
-        for beta, dim, x in _irreducibles(d):
-            total[x] += dim ** 2 * prod(size * _character(beta, mu) // dim
-                                        for size, mu in zip(sizes, mus))
-        memo[key] = {x: c for x, c in total.items() if c}
-    return memo[key]
+    sizes = [factorial(d) // prod(p ** mu.count(p) * factorial(mu.count(p)) for p in set(mu))
+             for mu in mus]  # |C_mu| = d! / z_mu
+    total = Counter()
+    for beta, dim, x in _irreducibles(d):
+        total[x] += dim ** 2 * prod(size * _character(beta, mu) // dim
+                                    for size, mu in zip(sizes, mus))
+    return {x: c for x, c in total.items() if c}
 
 
-def _connected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
+@functools.cache
+def _connected(d: int, mus: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     """``_disconnected`` for the tuples acting transitively.
 
     All tuples minus those where sheet 0 sees s < d sheets.  The orbit of
@@ -732,25 +734,22 @@ def _connected(d: int, mus: tuple[tuple[int, ...], ...], memo: dict) -> dict[int
     on it.  As ``sum_j C(b, j) x^j y^(b-j) = (x + y)^b``, the sum over j has
     bases x + y, and the scales s! and (d - s)! of its factors give C(d, s).
     """
-    key = ("connected", d, mus)
-    if key not in memo:
-        total = Counter(_disconnected(d, mus, memo))
-        for s in range(1, d):
-            weight = comb(d, s) * comb(d - 1, s - 1)
-            splits = Counter({((), ()): 1})
-            for mu in mus:  # the (nu, rho) types of the splits, merged after each profile
-                merged = Counter()
-                for (nu, rho), k in splits.items():
-                    for n, r in _splits(mu, s, memo):
-                        merged[_moving((*nu, n)), _moving((*rho, r))] += k
-                splits = merged
+    total = Counter(_disconnected(d, mus))
+    for s in range(1, d):
+        weight = comb(d, s) * comb(d - 1, s - 1)
+        splits = Counter({((), ()): 1})
+        for mu in mus:  # the (nu, rho) types of the splits, merged after each profile
+            merged = Counter()
             for (nu, rho), k in splits.items():
-                off_orbit = _disconnected(d - s, rho, memo)
-                for x, a in _connected(s, nu, memo).items():
-                    for y, c in off_orbit.items():
-                        total[x + y] -= weight * k * a * c
-        memo[key] = {x: c for x, c in total.items() if c}
-    return memo[key]
+                for n, r in _splits(mu, s):
+                    merged[_moving((*nu, n)), _moving((*rho, r))] += k
+            splits = merged
+        for (nu, rho), k in splits.items():
+            off_orbit = _disconnected(d - s, rho)
+            for x, a in _connected(s, nu).items():
+                for y, c in off_orbit.items():
+                    total[x + y] -= weight * k * a * c
+    return {x: c for x, c in total.items() if c}
 
 
 def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
@@ -771,7 +770,7 @@ def hurwitz_count(d: int, end_profiles: list[tuple[int, ...]],
     if ramification % 2 or ramification < 2 * d - 2:
         return Fraction(0)
     return Fraction(sum(c * x ** simple_branch_points
-                        for x, c in _connected(d, mus, {}).items()), factorial(d) ** 2)
+                        for x, c in _connected(d, mus).items()), factorial(d) ** 2)
 
 
 # The symmetric-group enumerator below is the independent oracle that

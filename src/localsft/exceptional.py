@@ -25,6 +25,7 @@ from .covers import (
     fredholm_index,
     is_orbit_cylinder,
     normal_chern_numbers,
+    obstruction_rank,
     tangency_dimension,
 )
 from .errors import (
@@ -94,6 +95,10 @@ class DerivationStep:
 
 def render_trace(steps: tuple[DerivationStep, ...]) -> str:
     return "\n".join(step.render() for step in steps)
+
+
+def render_records(steps: tuple[DerivationStep, ...]) -> str:
+    return "\n".join(line for step in steps for line in step.records())
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +371,12 @@ class SplittingEquations:
 
 
 def _moduli_symbol(spec: CoverSpec) -> ModuliSymbol:
-    try:
-        rank = cokernel_rank(spec)
-    except HypothesesViolated:
-        rank = None
     return ModuliSymbol(
         label=spec.describe(),
         spec=spec,
         index=fredholm_index(spec),
         dimension=tangency_dimension(spec),
-        obstruction_rank=rank,
+        obstruction_rank=obstruction_rank(spec),
     )
 
 

@@ -40,9 +40,8 @@ from .algebra import (
     reside,
     substitute,
 )
-from .covers import BaseCurve, CoverSpec, cokernel_rank, cylinder_over
+from .covers import BaseCurve, CoverSpec, cylinder_over, obstruction_rank
 from .errors import (
-    HypothesesViolated,
     InadmissibleKey,
     InconsistentProfile,
     InvalidTable,
@@ -112,7 +111,7 @@ class CountTable:
         if key in self.entries:
             raise InadmissibleKey(f"duplicate table key {pos.render()}|{neg.render()}")
         self.entries[key] = Fraction(count)
-        self.hypothesis_ok[key] = self._check_hypotheses(spec)
+        self.hypothesis_ok[key] = obstruction_rank(spec) is not None
 
     def _validate(self, pos: OrbitCollection, neg: OrbitCollection) -> CoverSpec:
         """The validated cover spec of a row; raises for an inadmissible key."""
@@ -150,14 +149,6 @@ class CountTable:
             # ends of other orbits than the base's, or a negative ramification
             raise reject(str(exc)) from exc
         return spec
-
-    @staticmethod
-    def _check_hypotheses(spec: CoverSpec) -> bool:
-        try:
-            cokernel_rank(spec)
-        except HypothesesViolated:
-            return False
-        return True
 
     def sorted_entries(self) -> list[tuple[TableKey, Fraction]]:
         return sorted(self.entries.items())

@@ -23,6 +23,7 @@ from localsft.covers import (
     fredholm_index,
     is_orbit_cylinder,
     normal_chern_numbers,
+    obstruction_rank,
     tangency_dimension,
     tangency_report,
     validate_cover,
@@ -628,6 +629,23 @@ def test_example_strata_node_numbers_match_the_public_functions():
         for neck in (None, *doc.necks.values()):
             _assert_nodes_match_public_numbers(
                 boundary_strata(spec, neck=neck.split() if neck else None, max_codim=3))
+
+
+def test_obstruction_rank_is_the_cokernel_rank_or_none_off_its_hypotheses():
+    doc = parse_config(EXAMPLE.read_text())
+    ranks = []
+    for spec in doc.covers.values():
+        for neck in (None, *doc.necks.values()):
+            graph = boundary_strata(spec, neck=neck.split() if neck else None, max_codim=3)
+            for node_spec in (spec, *(node.spec for node in graph.node_list())):
+                rank = obstruction_rank(node_spec)
+                if rank is None:
+                    with pytest.raises(HypothesesViolated):
+                        cokernel_rank(node_spec)
+                else:
+                    assert rank == cokernel_rank(node_spec)
+                ranks.append(rank)
+    assert None in ranks and any(rank is not None for rank in ranks)
 
 
 # -- cached cover numbers ---------------------------------------------------------

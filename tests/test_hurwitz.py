@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localsft import covers
 from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
 from localsft.covers import ENUMERATION_DEGREE_BOUND, _hurwitz_by_enumeration
 from localsft.errors import DegreeTooLarge, InconsistentProfile
@@ -195,3 +196,16 @@ def test_simple_branching_in_degrees_two_and_three_up_to_the_bound():
         even = b >= 2 and b % 2 == 0
         assert hurwitz_count(2, [], b) == (Fraction(1, 2) if even else 0), b
         assert hurwitz_count(3, [], b) == (Fraction(3 ** (b - 1) - 3, 6) if even else 0), b
+
+
+def test_hurwitz_tables_are_shared_across_calls():
+    # the tables do not depend on the number of simple branch points
+    covers._connected.cache_clear()
+    first = hurwitz_count(4, [(2, 2)], 4)
+    misses = covers._connected.cache_info().misses
+    second = hurwitz_count(4, [(2, 2)], 6)
+    assert covers._connected.cache_info().misses == misses
+    covers._connected.cache_clear()
+    assert (hurwitz_count(4, [(2, 2)], 6), hurwitz_count(4, [(2, 2)], 4)) == (second, first)
+    assert (first, second) == (_hurwitz_by_enumeration(4, [(2, 2)], 4),
+                               _hurwitz_by_enumeration(4, [(2, 2)], 6)) == (12, 480)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from localsft.algebra import (
     substitute,
 )
 from localsft.config import parse_config
-from localsft.covers import BaseCurve
+from localsft.covers import BaseCurve, obstruction_rank
 from localsft.errors import (
     ConfigError,
     InadmissibleKey,
@@ -583,3 +584,17 @@ def test_reside_potential_moves_one_slot():
     moved = reside_potential(pot, {"a"}, "p")
     assert moved.p_side == "middle"
     assert moved.series == multiply(qm, S(var("a", kind="p", side="middle")))
+
+
+def test_hypothesis_flags_are_whether_the_obstruction_rank_exists():
+    shipped = Path(potentials.__file__).resolve().parent / "data" / "example.cfg"
+    # one more table, whose row has hyperbolic ends off an orbit cylinder
+    doc = parse_config(shipped.read_text() + "table F_wminus curve=wminus\n  (zeta) () 1\nend\n")
+    flags = []
+    for table in doc.tables.values():
+        for key in table.entries:
+            spec = table._validate(table._collection(key[0], "positive"),
+                                   table._collection(key[1], "negative"))
+            assert table.hypothesis_ok[key] == (obstruction_rank(spec) is not None)
+            flags.append(table.hypothesis_ok[key])
+    assert sorted(flags) == [False, True]
