@@ -122,6 +122,9 @@ SlotTerms = dict[tuple[int, ...], int]
 # kind (1, p before q), iterate (_K_BITS), then the rank of the orbit name.
 _K_BITS = 29
 _Q_BIT = 8
+_SIDE_MASK = 6
+_KIND_SIDE_MASK = _Q_BIT | _SIDE_MASK
+_RANK_SHIFT = _K_BITS + 4
 
 
 def _kappa(slot: int) -> int:
@@ -137,7 +140,7 @@ class _SlotTable(dict):
         self.rank = {orbit.name: i for i, orbit in enumerate(self.orbits)}
 
     def __missing__(self, slot: int) -> Variable:
-        orbit = self.orbits[slot >> (_K_BITS + 4)]
+        orbit = self.orbits[slot >> _RANK_SHIFT]
         kind = "q" if slot & _Q_BIT else "p"
         var = self[slot] = Variable(orbit.iterate(_kappa(slot)), kind, SIDES[slot >> 1 & 3])
         return var
@@ -208,6 +211,19 @@ def _canonical(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(letters)), sign
 
 
+def _reduced(terms: SlotTerms, den: int) -> tuple[SlotTerms, int]:
+    """Numerators over ``den > 0`` with zeros dropped and the common factor divided out.
+
+    The reduced pair is unique, so equal values have equal pairs.
+    """
+    terms = {m: c for m, c in terms.items() if c}
+    if den > 1:
+        common = gcd(den, *terms.values())
+        if common > 1:
+            return {m: c // common for m, c in terms.items()}, den // common
+    return terms, den
+
+
 def render_monomial(mono: Monomial) -> str:
     if not mono:
         return "1"
@@ -255,14 +271,7 @@ class GradedSeries:
         out = cls.__new__(cls)
         out.registry = registry
         out.truncation = truncation
-        terms = {m: c for m, c in terms.items() if c}
-        if den > 1:
-            common = gcd(den, *terms.values())
-            if common > 1:
-                den //= common
-                terms = {m: c // common for m, c in terms.items()}
-        out._terms = terms
-        out._den = den
+        out._terms, out._den = _reduced(terms, den)
         return out
 
     # -- constructors ------------------------------------------------------
@@ -495,10 +504,14 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     ``image**e`` is computed once per call.  The result has one
     denominator: ``f``'s times ``d**top`` for each assigned letter, where
     ``d`` is the denominator of its image and ``top`` its largest exponent
-    in ``f``.
+    in ``f``.  A monomial with no assigned letter is copied to the result
+    as it is, its numerator scaled to that denominator.
+
+    The checks resolve each variable to its slot once; ``_substitute_slots``
+    does the substitution.
     """
     var = _slots(f.registry)
-    images: dict[int, GradedSeries] = {}
+    images: dict[int, tuple[SlotTerms, int]] = {}
     for v, image in assignment.items():
         f._check_compatible(image)
         if check_degrees:
@@ -512,41 +525,61 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
             raise TruncationOverflow(
                 f"image of {v.render()} has a p-degree-zero term; "
                 f"truncated tails would leak below the cutoff")
-        images[var.slot(v)] = image
-    runs = {mono: _runs(mono) for mono in f._terms}
+        images[var.slot(v)] = (image._terms, image._den)
+    terms, lift = _substitute_slots(f._terms, images, f.truncation)
+    return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den * lift)
+
+
+def _substitute_slots(terms: SlotTerms, images: dict[int, tuple[SlotTerms, int]],
+                      truncation: int) -> tuple[SlotTerms, int]:
+    """The substitution kernel: ``terms`` with each slot of ``images`` replaced.
+
+    ``images`` maps a slot to the numerators and denominator of its image.
+    Returns the numerators of the result, zeros included, and the ``lift``:
+    the result is over the input's denominator times ``lift``.  Monomials
+    with no slot of ``images`` pass through, scaled by ``lift``; see
+    ``substitute`` for the order of the products and the denominator.
+    """
+    passed: list[tuple[tuple[int, ...], int]] = []
+    moved: list[tuple[tuple[tuple[int, int], ...], int]] = []  # (runs, numerator)
     top: dict[int, int] = {}
-    for mono_runs in runs.values():
-        for slot, e in mono_runs:
+    for mono, coeff in terms.items():
+        if images.keys().isdisjoint(mono):
+            passed.append((mono, coeff))
+            continue
+        runs = _runs(mono)
+        moved.append((runs, coeff))
+        for slot, e in runs:
             if slot in images and e > top.get(slot, 0):
                 top[slot] = e
-    lift = prod(images[slot]._den ** e for slot, e in top.items())
+    lift = prod(images[slot][1] ** e for slot, e in top.items())
+    out = dict(passed) if lift == 1 else {m: c * lift for m, c in passed}
     powers: dict[tuple[int, int], SlotTerms] = {}  # (slot, e) -> nonzero terms of image**e
     rights: dict[tuple[int, int], _Right] = {}  # _right of a power once it is a right factor
-    out_terms: SlotTerms = {}
-    for mono, coeff in f._terms.items():
-        mono_den = prod(images[slot]._den ** e for slot, e in runs[mono] if slot in images)
+    for runs, coeff in moved:
+        mono_den = prod(images[slot][1] ** e for slot, e in runs if slot in images)
         scale = coeff * (lift // mono_den)
-        acc: SlotTerms | None = None if mono else {(): scale}
-        for key in runs[mono]:
+        acc: SlotTerms | None = None
+        for key in runs:
             if key not in powers:
                 slot, e = key
-                power = base = images[slot]._terms if slot in images else {(slot,): 1}
+                power = base = images[slot][0] if slot in images else {(slot,): 1}
                 for _ in range(e - 1):
                     power = {m: c for m, c in _add_product({}, power, _right(base),
-                                                          f.truncation).items() if c}
+                                                          truncation).items() if c}
                 powers[key] = power
             if acc is None:
                 acc = {m: c * scale for m, c in powers[key].items()}
             else:
                 if key not in rights:
                     rights[key] = _right(powers[key])
-                acc = {m: c for m, c in _add_product({}, acc, rights[key], f.truncation).items()
+                acc = {m: c for m, c in _add_product({}, acc, rights[key], truncation).items()
                        if c}
             if not acc:
                 break
         for m, c in acc.items():
-            out_terms[m] = out_terms.get(m, 0) + c
-    return GradedSeries._of_slots(f.registry, f.truncation, out_terms, f._den * lift)
+            out[m] = out.get(m, 0) + c
+    return out, lift
 
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,
@@ -561,15 +594,19 @@ def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,
     the same denominator.  ``new_side`` is checked only when some variable
     matches.
     """
-    var = _slots(f.registry)
-    moved: dict[int, int] = {}
-    for s in {s for mono in f._terms for s in mono}:
-        v = var[s]
-        if v.kind == kind and v.side == side and (
-                orbit_names is None or v.iterate.orbit.name in orbit_names):
-            moved[s] = var.slot(Variable(v.iterate, kind, new_side))
-    if not moved:
+    if kind not in ("p", "q") or side not in SIDES:
         return f
+    var = _slots(f.registry)
+    want = (_Q_BIT if kind == "q" else 0) | SIDES.index(side) << 1
+    ranks = None if orbit_names is None else {var.rank[name] for name in orbit_names
+                                              if name in var.rank}
+    matched = {s for mono in f._terms for s in mono if s & _KIND_SIDE_MASK == want
+               and (ranks is None or s >> _RANK_SHIFT in ranks)}
+    if not matched:
+        return f
+    Variable(var[min(matched)].iterate, kind, new_side)  # raises for an unknown side
+    bits = SIDES.index(new_side) << 1
+    moved = {s: s & ~_SIDE_MASK | bits for s in matched}
     terms: SlotTerms = {}
     for mono, coeff in f._terms.items():
         mono, sign = _canonical(tuple(moved.get(s, s) for s in mono))

@@ -426,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--middle", required=True, help="comma-separated orbit names")
-    p.add_argument("--order", type=int, default=0)
+    p.add_argument("--order", type=int, default=0,
+                   help="total external degree kept; 0 means the document's truncation")
     p.add_argument("--max-k", type=int, default=3,
                    help="iterate bound for hyperbolic middle orbits")
     p.set_defaults(fn=cmd_compose)

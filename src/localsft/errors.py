@@ -78,7 +78,7 @@ class TruncationOverflow(LocalSFTError):
 
 
 class InvalidTruncation(LocalSFTError, ValueError):
-    """A series truncation order below 1."""
+    """A series truncation order below 1, or a composition order below 0."""
 
     code = "E_TRUNCATION_ORDER"
 

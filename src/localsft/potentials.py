@@ -13,7 +13,11 @@ total external degree; failure to stabilize is reported, never forced.
 A pass sets ``p_{k+1} = F(q_k)`` and ``q_{k+1} = G(p_k)``, so a half whose
 input did not move in the previous pass keeps its value without being
 recomputed; the passes, and the iterate at which the fixed point is
-declared, are those of recomputing both halves every time.
+declared, are those of recomputing both halves every time.  Each right
+side is split once into a settled part, the terms with no letter of its
+half's input, and a live part: the first pass, from zero inputs, is the
+settled parts, a half with no live terms is never recomputed, and later
+passes substitute into the live parts only.
 """
 
 from __future__ import annotations
@@ -33,7 +37,11 @@ from .algebra import (
     _canonical,
     _check_truncation,
     _conjugate_pairs,
+    _kappa,
+    _partial,
+    _reduced,
     _slots,
+    _substitute_slots,
     partial,
     partial_right,
     render_monomial,
@@ -45,6 +53,7 @@ from .errors import (
     InadmissibleKey,
     InconsistentProfile,
     InvalidTable,
+    InvalidTruncation,
     InvalidVariable,
     NoFormalSolution,
     RegistryMismatch,
@@ -312,45 +321,93 @@ def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
     return GradedSeries._of_slots(series.registry, series.truncation, terms, series._den)
 
 
+# the right side of one middle variable: (first pass value, settled part, live part,
+# denominator); the first pass value is the reduced settled part, the parts are
+# numerators over the denominator
+_Rhs = tuple[tuple[SlotTerms, int], SlotTerms, SlotTerms, int]
+
+
+def _split_rhs(terms: SlotTerms, den: int, kappa: int, inputs: set[int], order: int) -> _Rhs:
+    """``kappa * terms / den`` split into its settled terms, free of ``inputs``, and live ones.
+
+    A settled term beyond ``order`` letters is dropped: no pass keeps it.
+    """
+    settled: SlotTerms = {}
+    live: SlotTerms = {}
+    for mono, coeff in terms.items():
+        if inputs.isdisjoint(mono):
+            if len(mono) <= order:
+                settled[mono] = coeff * kappa
+        else:
+            live[mono] = coeff * kappa
+    return _reduced(settled, den), settled, live, den
+
+
+def _picard_half(rhs: dict[int, _Rhs], images: dict[int, tuple[SlotTerms, int]],
+                 truncation: int, order: int) -> dict[int, tuple[SlotTerms, int]]:
+    """One half of a Picard pass: the settled part plus the live part substituted."""
+    moving = any(terms for terms, _ in images.values())
+    out = {}
+    for slot, (first, settled, live, den) in rhs.items():
+        if not (live and moving):  # zero inputs zero every live term
+            out[slot] = first
+            continue
+        terms, lift = _substitute_slots(live, images, truncation)
+        for mono, coeff in settled.items():
+            terms[mono] = terms.get(mono, 0) + coeff * lift
+        out[slot] = _reduced({m: c for m, c in terms.items() if len(m) <= order}, den * lift)
+    return out
+
+
 def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
                       middle: list[OrbitIterate], order: int
                       ) -> tuple[dict[Variable, GradedSeries], dict[Variable, GradedSeries]]:
+    """Solve ``p~ = kappa dL F+/dq~`` and ``q~ = kappa dR F-/dp~`` by Picard passes.
+
+    The middle slots are resolved once.  Each right side is split once into
+    a settled part, whose terms have no letter of the half's input, and a
+    live part.  The first pass substitutes zero inputs, so it is the settled
+    parts; a later pass substitutes the current inputs into the live parts
+    only, and only for a half whose input moved in the previous pass and
+    that has live terms.  Solutions are kept as reduced numerators over one
+    denominator and become series once, at the fixed point.
+    """
     registry = f_minus.registry
     truncation = f_minus.truncation
-    q_vars = [Variable(it, "q", "middle") for it in middle]
-    p_vars = [Variable(it, "p", "middle") for it in middle]
-    forbidden_q = {v.key for v in q_vars}
-    forbidden_p = {v.key for v in p_vars}
-    for v in f_minus.variables():
-        if v.key in forbidden_q:
-            raise RegistryMismatch(
-                f"left factor may not depend on the middle variable {v.render()}")
-    for v in f_plus.variables():
-        if v.key in forbidden_p:
-            raise RegistryMismatch(
-                f"right factor may not depend on the middle variable {v.render()}")
-    zero = GradedSeries.zero(registry, truncation)
-    q_sol = {v: zero for v in q_vars}
-    p_sol = {v: zero for v in p_vars}
+    var = _slots(registry)
+    q_slots = [var.slot(Variable(it, "q", "middle")) for it in middle]
+    p_slots = [var.slot(Variable(it, "p", "middle")) for it in middle]
+    for i, it in enumerate(middle):
+        if q_slots[i] in q_slots[:i]:
+            raise RegistryMismatch(f"middle iterate {it.name} is listed twice")
+    for series, forbidden, which in ((f_minus, set(q_slots), "left"),
+                                     (f_plus, set(p_slots), "right")):
+        bad = forbidden.intersection(itertools.chain.from_iterable(series._terms))
+        if bad:
+            raise RegistryMismatch(f"{which} factor may not depend on the middle variable "
+                                   f"{var[min(bad)].render()}")
     # p~ = kappa dF+/dq~ and q~ = kappa dR F-/dp~, each solved by substitution
-    p_rhs = {p: partial(f_plus, q).scale(p.kappa) for p, q in zip(p_vars, q_vars)}
-    q_rhs = {q: partial_right(f_minus, p).scale(q.kappa) for p, q in zip(p_vars, q_vars)}
+    p_rhs = {p: _split_rhs(_partial(f_plus._terms, q, False), f_plus._den, _kappa(q),
+                           set(q_slots), order) for p, q in zip(p_slots, q_slots)}
+    q_rhs = {q: _split_rhs(_partial(f_minus._terms, p, True), f_minus._den, _kappa(p),
+                           set(p_slots), order) for p, q in zip(p_slots, q_slots)}
+    zero = ({}, 1)
+    q_sol = dict.fromkeys(q_slots, zero)
+    p_sol = dict.fromkeys(p_slots, zero)
     # p_{k+1} = F(q_k) and q_{k+1} = G(p_k): a half whose input did not move keeps its value
     p_moved = q_moved = True
     for _ in range(order + 2):
-        new_p = {v: _external_truncate(substitute(rhs, q_sol, check_degrees=False), order)
-                 for v, rhs in p_rhs.items()} if q_moved else p_sol
-        new_q = {v: _external_truncate(substitute(rhs, p_sol, check_degrees=False), order)
-                 for v, rhs in q_rhs.items()} if p_moved else q_sol
+        new_p = _picard_half(p_rhs, q_sol, truncation, order) if q_moved else p_sol
+        new_q = _picard_half(q_rhs, p_sol, truncation, order) if p_moved else q_sol
         p_moved, q_moved = new_p != p_sol, new_q != q_sol
         if not (p_moved or q_moved):
-            return q_sol, p_sol
+            return tuple({var[s]: GradedSeries._of_slots(registry, truncation, *sol)
+                          for s, sol in half.items()} for half in (q_sol, p_sol))
         q_sol, p_sol = new_q, new_p
     constants = {}
-    for v, sol in itertools.chain(q_sol.items(), p_sol.items()):
-        const = sol.coefficient(())
-        if const:
-            constants[v.render()] = const
+    for s, (terms, den) in itertools.chain(q_sol.items(), p_sol.items()):
+        if terms.get(()):
+            constants[var[s].render()] = Fraction(terms[()], den)
     raise NoFormalSolution(
         f"constraint system did not stabilize within {order + 2} passes; "
         f"obstructing constant terms: "
@@ -365,8 +422,11 @@ def compose_sharp(f_minus: Potential, f_plus: Potential,
     ``f_minus`` feeds the middle p-variables, ``f_plus`` the middle
     q-variables; the middle pair is eliminated along the Lagrangian
     constraints and the result lives in the remaining external variables,
-    kept to total external degree ``order``.
+    kept to total external degree ``order >= 0``.  A middle iterate may be
+    listed once.
     """
+    if order < 0:
+        raise InvalidTruncation(f"composition order must be non-negative, got {order}")
     fm, fp = f_minus.series, f_plus.series
     fm._check_compatible(fp)
     q_sol, p_sol = _solve_lagrangian(fm, fp, middle, order)

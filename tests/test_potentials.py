@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localsft import potentials
+from localsft import algebra, potentials
 from localsft.algebra import (
     GradedSeries,
     Variable,
@@ -384,6 +384,60 @@ class TestComposeSharp:
             compose_sharp(f_minus, f_plus, [REG.get("a").iterate(1)], order=4)
         assert err.value.obstructions
 
+    def test_unstable_system_message_and_obstructions_are_pinned(self):
+        # the text and the obstructions of the system above, q~ before p~
+        qmid = S(var("a", kind="q", side="middle"))
+        pmid = S(var("a", kind="p", side="middle"))
+        f_plus = Potential(qmid + multiply(qmid, qmid), q_side="middle", p_side="plus")
+        f_minus = Potential(pmid + multiply(pmid, pmid), q_side="minus", p_side="middle")
+        with pytest.raises(NoFormalSolution) as err:
+            compose_sharp(f_minus, f_plus, [REG.get("a").iterate(1)], order=4)
+        assert str(err.value) == ("constraint system did not stabilize within 6 passes; "
+                                  "obstructing constant terms: p~[a]=63, q~[a]=63")
+        assert list(err.value.obstructions.items()) == [("q~[a]", Fraction(63)),
+                                                         ("p~[a]", Fraction(63))]
+
+    @staticmethod
+    def _linear_pair(name="a", k=1):
+        """3 q-[gm] p~ and 5 q~ p+[gp] over the middle iterate name^k."""
+        qm = S(var("gm", kind="q", side="minus"))
+        pp = S(var("gp", kind="p", side="plus"))
+        f_minus = Potential(multiply(qm, S(var(name, k, "p"))).scale(3),
+                            q_side="minus", p_side="middle")
+        f_plus = Potential(multiply(S(var(name, k, "q")), pp).scale(5),
+                           q_side="middle", p_side="plus")
+        return f_minus, f_plus, multiply(qm, pp)
+
+    def test_duplicated_middle_iterate_is_rejected(self):
+        # the identity correction would count q~[a] p~[a] twice while the solve has one
+        # unknown per variable, and the composition came out 0 instead of 15 q-[gm] p+[gp]
+        f_minus, f_plus, qm_pp = self._linear_pair()
+        a = REG.get("a").iterate(1)
+        assert compose_sharp(f_minus, f_plus, [a], order=4).series == qm_pp.scale(15)
+        with pytest.raises(RegistryMismatch, match=r"^middle iterate a is listed twice$"):
+            compose_sharp(f_minus, f_plus, [a, a], order=4)
+        a2 = REG.get("a").iterate(2)
+        with pytest.raises(RegistryMismatch, match=r"^middle iterate a\^2 is listed twice$"):
+            compose_sharp(f_minus, f_plus, [a2, a, a2], order=4)
+
+    @pytest.mark.parametrize("order", [-1, -4])
+    def test_negative_order_is_rejected(self, order):
+        f_minus, f_plus, _ = self._linear_pair()
+        with pytest.raises(InvalidTruncation, match="composition order"):
+            compose_sharp(f_minus, f_plus, [REG.get("a").iterate(1)], order=order)
+
+    def test_order_zero_keeps_the_constant_terms(self):
+        f_minus, f_plus, _ = self._linear_pair()
+        a = REG.get("a").iterate(1)
+        assert compose_sharp(f_minus, f_plus, [a], order=0).series.is_zero()
+        # p~[a] = 1 from f+ = q~[a] + q~[a] p+[gp], f- = 2 p~[a]: the constant 2 survives
+        pp = S(var("gp", kind="p", side="plus"))
+        qmid, pmid = S(var("a", kind="q")), S(var("a", kind="p"))
+        got = compose_sharp(Potential(pmid.scale(2), q_side="minus", p_side="middle"),
+                            Potential(qmid + multiply(qmid, pp), q_side="middle", p_side="plus"),
+                            [a], order=0)
+        assert got.series == GradedSeries.constant(REG, TRUNC, 2)
+
 
 def _ends_and_middles():
     """q-[gm], p+[gp], the middle p-variables of a and a^2, then their q-variables."""
@@ -408,6 +462,30 @@ def _p_pauses_once():
     f_minus = multiply(qm, p2) + multiply(qm, multiply(p1, p1))
     f_plus = multiply(pp, q1) + multiply(pp, multiply(q1, q1))
     return f_minus, f_plus
+
+
+def _left_is_zero():
+    # f- = 0 keeps q~ at zero, so the live p~ terms never see a nonzero input
+    _, pp, _, (q1, q2) = _ends_and_middles()
+    return GradedSeries.zero(REG, TRUNC), multiply(pp, q1) + multiply(pp, multiply(q1, q2))
+
+
+# (numerator, denominator, letters): letter 0 is the external one, 1-3 the middle
+# iterates a, a^2 and the odd b; each term has one to three external letters
+_solve_term = st.tuples(
+    st.integers(-3, 3).filter(bool), st.integers(1, 3),
+    st.tuples(st.integers(1, 3), st.lists(st.integers(1, 3), max_size=3)).map(
+        lambda drawn: (0,) * drawn[0] + tuple(drawn[1])))
+
+
+def _solve_series(spec, letters):
+    out = GradedSeries.zero(REG, TRUNC)
+    for num, den, word in spec:
+        term = GradedSeries.constant(REG, TRUNC, Fraction(num, den))
+        for i in word:
+            term = multiply(term, S(letters[i]))
+        out = out + term
+    return out
 
 
 class TestPicardPasses:
@@ -438,15 +516,60 @@ class TestPicardPasses:
         want_q, want_p, passes = self._naive_solve(f_minus, f_plus, mids, order=6)
         assert passes >= 3
         calls = []
+        kernel = potentials._substitute_slots
 
         def spy(*args, **kwargs):
             calls.append(args[0])
-            return substitute(*args, **kwargs)
+            return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(potentials, "substitute", spy)
+        monkeypatch.setattr(potentials, "_substitute_slots", spy)
         got_q, got_p = potentials._solve_lagrangian(f_minus, f_plus, mids, order=6)
         assert (got_q, got_p) == (want_q, want_p)
-        assert len(calls) < 2 * len(mids) * passes
+        assert calls and len(calls) < 2 * len(mids) * passes
+
+    @pytest.mark.parametrize("system", [_p_settles_first, _p_pauses_once, _left_is_zero],
+                             ids=lambda system: system.__name__)
+    def test_solve_resolves_slots_once_and_substitutes_no_zero_input(self, monkeypatch,
+                                                                      system):
+        mids = [REG.get("a").iterate(1), REG.get("a").iterate(2)]
+        f_minus, f_plus = system()
+        slots, images_seen = [], []
+        kernel, slot = potentials._substitute_slots, algebra._SlotTable.slot
+
+        def kernel_spy(terms, images, *args):
+            images_seen.append(images)
+            return kernel(terms, images, *args)
+
+        def slot_spy(table, v):
+            slots.append(v)
+            return slot(table, v)
+
+        monkeypatch.setattr(potentials, "_substitute_slots", kernel_spy)
+        monkeypatch.setattr(algebra._SlotTable, "slot", slot_spy)
+        potentials._solve_lagrangian(f_minus, f_plus, mids, order=6)
+        assert all(any(terms for terms, _ in images.values()) for images in images_seen)
+        assert len(slots) <= 2 * len(mids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_solve_term, max_size=4), st.lists(_solve_term, max_size=4),
+           st.integers(1, 6))
+    # linear in the middle: neither half has a live term, the solve is its first pass
+    @example([(3, 1, (0, 1)), (1, 2, (0, 0, 3))], [(5, 1, (0, 1)), (-1, 3, (0, 2))], 6)
+    # _p_settles_first and _p_pauses_once: three and seven passes
+    @example([(3, 1, (0, 1)), (1, 1, (0, 1, 2)), (1, 2, (0, 2))],
+             [(5, 1, (0, 1)), (1, 1, (0, 0, 2))], 6)
+    @example([(1, 1, (0, 2)), (1, 1, (0, 1, 1))], [(1, 1, (0, 1)), (1, 1, (0, 1, 1))], 6)
+    # odd middle letters re-sort and square to zero
+    @example([(2, 1, (0, 3, 1)), (1, 1, (0, 3, 3))], [(-1, 1, (0, 3, 1)), (1, 2, (0, 3))], 5)
+    def test_solve_matches_the_naive_solve(self, minus_spec, plus_spec, order):
+        # every term carries an external letter, so the naive passes reach a fixed point
+        mids = [REG.get("a").iterate(1), REG.get("a").iterate(2), REG.get("b").iterate(1)]
+        f_minus = _solve_series(minus_spec, [var("gm", kind="q", side="minus")]
+                                + [var(it.orbit.name, it.k, "p") for it in mids])
+        f_plus = _solve_series(plus_spec, [var("gp", kind="p", side="plus")]
+                               + [var(it.orbit.name, it.k, "q") for it in mids])
+        want_q, want_p, _ = self._naive_solve(f_minus, f_plus, mids, order)
+        assert potentials._solve_lagrangian(f_minus, f_plus, mids, order) == (want_q, want_p)
 
 
 class TestIdentitySeries:
@@ -506,6 +629,22 @@ class TestTransformPotential:
         f0 = Potential(multiply(qm, pp).scale(5), q_side="minus", p_side="plus")
         got = transform_potential(f0, f10, f01, mm, mp, order=6)
         assert got.series == multiply(qm, pp).scale(2 * 5 * 3)
+
+    def test_duplicated_middle_iterate_and_negative_order_are_rejected(self):
+        # both bracketings eliminate along middle_minus and middle_plus
+        mm = [REG.get("gm").iterate(1)]
+        mp = [REG.get("gp").iterate(1)]
+        f10 = self._cyl_potential("gm", 2)
+        f01 = self._cyl_potential("gp", 3)
+        f0 = Potential(multiply(S(var("gm", kind="q", side="minus")),
+                                S(var("gp", kind="p", side="plus"))).scale(5),
+                       q_side="minus", p_side="plus")
+        with pytest.raises(RegistryMismatch, match="middle iterate gm is listed twice"):
+            transform_potential(f0, f10, f01, mm * 2, mp, order=6)
+        with pytest.raises(RegistryMismatch, match="middle iterate gp is listed twice"):
+            transform_potential(f0, f10, f01, mm, mp * 2, order=6)
+        with pytest.raises(InvalidTruncation, match="composition order"):
+            transform_potential(f0, f10, f01, mm, mp, order=-1)
 
     def test_random_triples_associate(self):
         rng = random.Random(11)
