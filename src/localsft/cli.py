@@ -453,11 +453,18 @@ def main(argv: list[str] | None = None) -> int:
     for key, value in (("config", None), ("format", "table"), ("truncation", 0)):
         if not hasattr(args, key):
             setattr(args, key, value)
+    # exact values print in full: lift the int-to-str digit limit (Python 3.10.7+) meanwhile
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except LocalSFTError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, HYPOTHESIS_ERRORS) else 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

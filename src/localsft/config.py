@@ -22,6 +22,12 @@ Statement forms::
     neck <name> orbits=(a,b) plus=<curve>|cyl:<orbit> minus=<curve>|cyl:<orbit>
                  [separating=yes]
 
+A collection is ``()`` or atoms between parentheses, separated by commas
+with no spaces: ``(a,b^2)``.  An atom is an orbit name, for the simple
+orbit, or ``<orbit>^<k>``, for its k-th iterate; a neck's ``orbits=``
+lists names only.  An empty atom, as in ``(a,)`` or ``(,)``, and an
+empty exponent, as in ``(a^)``, are errors at the collection's column.
+
 Curve names starting ``cyl:`` or ``cyl(`` are reserved for orbit
 cylinders.  ``separating=no`` is parsed and rejected: only separating
 necks are supported.  An error in a statement, an unknown name included,
@@ -101,8 +107,10 @@ def _parse_bool(text: str, line: int, col: int) -> bool:
 def _parse_name_list(text: str, line: int, col: int) -> list[str]:
     if not (text.startswith("(") and text.endswith(")")):
         raise ConfigError(f"expected a parenthesized list, got {text!r}", line, col)
-    inner = text[1:-1]
-    return [chunk for chunk in inner.split(",") if chunk] if inner else []
+    atoms = text[1:-1].split(",") if text != "()" else []
+    if "" in atoms:
+        raise ConfigError(f"empty atom in {text!r}", line, col)
+    return atoms
 
 
 def _parse_collection(text: str, lines: _Lines, registry: OrbitRegistry, sign: str,
@@ -112,8 +120,8 @@ def _parse_collection(text: str, lines: _Lines, registry: OrbitRegistry, sign: s
     if coll is None:
         items = []
         for atom in _parse_name_list(text, line, col):
-            name, _, power = atom.partition("^")
-            k = _parse_int(power, line, col) if power else 1
+            name, caret, power = atom.partition("^")
+            k = _parse_int(power, line, col) if caret else 1
             orbit = _at(line, col, registry.get, name)
             items.append(_at(line, col, orbit.iterate, k))
         coll = lines.collections[text, sign] = OrbitCollection(tuple(items), sign=sign)

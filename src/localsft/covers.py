@@ -292,7 +292,7 @@ def normal_chern_numbers(spec: CoverSpec) -> NormalChernRecord:
 
 @dataclass(frozen=True)
 class NeckSplit:
-    """A separating neck: breaking orbits plus the two limit curves."""
+    """A separating neck: breaking orbits and two limit curves ending exactly on them."""
 
     orbits: tuple[ReebOrbit, ...]
     side_plus: BaseCurve
@@ -304,6 +304,12 @@ class NeckSplit:
         if self.side_plus.index != 0 or self.side_minus.index != 0:
             raise HypothesesViolated(
                 "neck limit curves must be rigid (index zero) by index additivity")
+        ends = OrbitCollection(tuple(orbit.iterate(1) for orbit in self.orbits))
+        for side, toward, away in ((self.side_plus, "negative", "positive"),
+                                   (self.side_minus, "positive", "negative")):
+            if len(side.ends(away)) or side.ends(toward).key() != ends.key():
+                raise InvalidCover(f"neck limit curve {side.name} must have {toward} ends "
+                                   f"{ends.render()} and no {away} end")
 
 
 @dataclass(frozen=True)
@@ -393,27 +399,6 @@ def end_profiles(orbit: ReebOrbit, total: int) -> list[OrbitCollection]:
             for parts in _partitions(total)]
 
 
-def _mixed_profiles(orbits: list[ReebOrbit], total_each: int,
-                    profiles) -> list[OrbitCollection]:
-    """Cartesian products of per-orbit end profiles ``profiles(orbit, total_each)``."""
-    blocks = [profiles(orbit, total_each) for orbit in orbits]
-    out = []
-    for combo in itertools.product(*blocks):
-        items = tuple(it for block in combo for it in block)
-        out.append(OrbitCollection(items))
-    return out
-
-
-def _component_bound_for_base_cover(spec: CoverSpec) -> int:
-    """Each component of a cover surjects onto the base near every puncture."""
-    bound = spec.degree
-    for side in ("positive", "negative"):
-        cover_counts = spec.ends(side).end_counts
-        for name, base_n in spec.base.ends(side).end_counts.items():
-            bound = min(bound, cover_counts.get(name, 0) // base_n)
-    return bound
-
-
 def _marked_placements(r: int, c: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """Distributions ((r_up, c_up), (r_low, c_low)) over the two levels."""
     return [((r_up, c_up), (r - r_up, c - c_up)) for r_up in range(r + 1)
@@ -447,12 +432,18 @@ def _splittings(spec: CoverSpec, neck: NeckSplit | None, profiles):
     one side, and a cover of a closed curve splits along the neck.  The
     middles over one orbit are ``profiles(orbit, total)``, one call's memo
     of ``end_profiles``.
+
+    Along a neck of m orbits the two sides of any degree-d split have
+    2d(2 - m) - 2 branch points in all, so only a one-orbit neck splits;
+    each neck orbit's profiles are still built, so one out of range raises.
     """
     if spec.base.closed:
-        orbits = sorted(neck.orbits, key=lambda o: o.name)
-        yield from _glue(CoverSpec(neck.side_plus, spec.degree),
-                         CoverSpec(neck.side_minus, spec.degree),
-                         _mixed_profiles(orbits, spec.degree, profiles), (MIDDLE, MIDDLE))
+        middles = [profiles(orbit, spec.degree)
+                   for orbit in sorted(neck.orbits, key=lambda o: o.name)]
+        if len(middles) == 1:
+            yield from _glue(CoverSpec(neck.side_plus, spec.degree),
+                             CoverSpec(neck.side_minus, spec.degree), middles[0],
+                             (MIDDLE, MIDDLE))
     elif is_orbit_cylinder(spec.base):
         orbit = spec.base.positive_ends.items[0].orbit
         yield from _glue(CoverSpec(spec.base, spec.degree, spec.positive_ends),
@@ -482,7 +473,8 @@ class _Level:
     """An unmarked level (base, degree, ends) of one ``boundary_strata`` call.
 
     It holds what marks do not change: the first spec seen (only the
-    root's has marks), the component bound, the component count at which
+    root's has marks), the component bound (no count within it leaves a
+    negative number of branch points), the component count at which
     it is a union of trivial cylinders (or 0), whether its base is an orbit
     cylinder, the ``base:dN:(pos)/(neg)`` prefix of its node ids and its
     cokernel rank, read on its first connected node.
@@ -491,7 +483,12 @@ class _Level:
     def __init__(self, key: tuple, spec: CoverSpec):
         self.key = key  # (base name, degree, positive ends key, negative ends key)
         self.spec = spec
-        self.bound = _component_bound_for_base_cover(spec)
+        # each component surjects onto the base near every puncture, and each
+        # one past the first takes two branch points
+        self.bound = min(spec.degree, spec.ramification // 2 + 1, *(
+            spec.ends(side).end_counts.get(name, 0) // base_n
+            for side in ("positive", "negative")
+            for name, base_n in spec.base.ends(side).end_counts.items()))
         self.cylinder = is_orbit_cylinder(spec.base)
         self.trivial = len(key[2]) if self.cylinder and key[2] == key[3] else 0
         self.prefix = (f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
@@ -504,8 +501,8 @@ class _Level:
 
 
 def _make_node(level: _Level, marks: tuple[int, int], components: int,
-               tag: str) -> StratumNode | None:
-    """Annotated stratum node, or None when no such cover exists at all.
+               tag: str) -> StratumNode:
+    """Annotated stratum node; ``components`` is within the level's bound.
 
     Marks change neither the ramification, the index nor the cokernel rank,
     so the node reads them from its unmarked ``level``, whose spec is
@@ -514,8 +511,6 @@ def _make_node(level: _Level, marks: tuple[int, int], components: int,
     """
     spec = level.spec
     z = spec.ramification - 2 * (components - 1)
-    if z < 0:
-        return None
     index = spec.index  # validates the level on its first node
     if marks != (spec.marked_points, spec.constrained_branch_points):
         spec = CoverSpec(spec.base, spec.degree, spec.positive_ends, spec.negative_ends, *marks)
@@ -568,7 +563,7 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     # each level's splittings, kept off the levels: a level can split into itself,
     # and holding its own splittings it would be a reference cycle
     split_table: dict[tuple, list[tuple]] = {}
-    nodes: dict[tuple, StratumNode | None] = {}
+    nodes: dict[tuple, StratumNode] = {}
     middles = functools.cache(end_profiles)  # this call's only: freed on return
 
     def level(level_spec: CoverSpec) -> _Level:
@@ -587,7 +582,7 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
         return split_table[lvl.key]
 
     def node(lvl: _Level, marks: tuple[int, int], components: int,
-             tag: str) -> StratumNode | None:
+             tag: str) -> StratumNode:
         key = (lvl.key, marks, components, tag)
         if key not in nodes:
             nodes[key] = _make_node(lvl, marks, components, tag)
@@ -620,8 +615,6 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
                         continue  # a level of unmarked trivial cylinders is no splitting
                     a = node(first, marks_first, n_first, first_tag)
                     b = node(second, marks_second, n_second, second_tag)
-                    if a is None or b is None:
-                        continue
                     children = ((b, second), (a, first)) if lower_first else ((a, first), (b, second))
                     for child, child_level in children:
                         if child.node_id not in graph.nodes:

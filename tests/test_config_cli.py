@@ -673,3 +673,67 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls():
                            capture_output=True, text=True)
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert out.startswith("orbit  k  cz")
+
+
+def test_strata_on_a_neck_whose_sides_miss_its_orbits_gives_one_cover_error(tmp_path):
+    # the cylinder-sided neck parses and passes check (see the round trip above),
+    # but its limit curves do not end on the breaking orbit alone
+    cfg = tmp_path / "cylneck.cfg"
+    cfg.write_text(
+        "orbit e elliptic theta=3/10 max_iterate=4\n"
+        "orbit h hyperbolic cz1=2\n"
+        "curve s closed=yes index=0 rel_c1_doubled=2\n"
+        "cover s3 base=s degree=3\n"
+        "neck n orbits=(h) plus=cyl:h minus=cyl:e\n")
+    assert run_cli("--config", str(cfg), "strata", "s3", "--neck", "n") == (
+        1, "", "error E_COVER: neck limit curve cyl(h) must have negative ends (h) "
+               "and no positive end\n")
+
+
+@pytest.mark.parametrize("statement, line, col", [
+    ("curve c index=0 rel_c1_doubled=0 pos=(g^)", 2, 34),
+    ("curve c index=0 rel_c1_doubled=0 pos=(g,)", 2, 34),
+    ("curve c index=0 rel_c1_doubled=0 pos=(g,,g)", 2, 34),
+    ("curve c index=0 rel_c1_doubled=0 neg=(,)", 2, 34),
+    ("curve p index=0 rel_c1_doubled=0 neg=(g)\n"
+     "curve m index=0 rel_c1_doubled=0 pos=(g)\n"
+     "neck n orbits=(g,) plus=p minus=m", 4, 8),
+], ids=["empty-exponent", "trailing-comma", "double-comma", "lone-comma", "neck-orbits"])
+def test_empty_atoms_and_exponents_are_parse_errors(tmp_path, statement, line, col):
+    cfg = tmp_path / "atoms.cfg"
+    cfg.write_text(f"orbit g elliptic theta=3/10 max_iterate=4\n{statement}\n")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, out) == (2, "")
+    assert re.fullmatch(rf"error E_PARSE: line {line} col {col}: [^\n]+\n", err), err
+
+
+def test_values_past_the_int_to_str_digit_limit_print_exactly(tmp_path):
+    # two 3,001-digit counts compose to a 6,001-digit one, past Python's default limit
+    # of 4,300 digits; the CLI lifts the limit while it runs and restores it after
+    count = "1" + "0" * 3000
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(
+        "orbit g elliptic theta=3/10 max_iterate=3\n"
+        "orbit e elliptic theta=7/10 max_iterate=3\n"
+        "curve left index=0 rel_c1_doubled=0 pos=(e) neg=(g)\n"
+        f"table F curve=left\n  (e) (g) {count}\nend\n"
+        f"table E orbit=g\n  (g) (g) {count}\nend\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run_cli("--config", str(cfg), "compose", "E", "F", "--middle", "g") == (
+        0, "1" + "0" * 6000 + "*p+[e]*q-[g]\n", "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_count_with_a_large_exponent_prints_exactly(tmp_path):
+    # 1e5000 parses exactly; the potential weighs the double cover by 1/2
+    cfg = tmp_path / "exponent.cfg"
+    cfg.write_text(
+        "orbit gamma elliptic theta=3/10 max_iterate=4\n"
+        "curve vminus index=0 rel_c1_doubled=0 pos=(gamma)\n"
+        "table T curve=vminus\n  (gamma^2) () 1e5000\nend\n")
+    assert run_cli("--config", str(cfg), "--format", "records", "potential", "T") == (
+        0, "field=series\tvalue=5" + "0" * 4999 + "*p+[gamma^2]\nfield=weight_roundtrip\tvalue=pass\n",
+        "")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, err) == (0, "")
+    assert out.endswith("summary: 5/5 checks passed\n")

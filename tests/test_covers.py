@@ -32,9 +32,12 @@ from localsft.covers import (
 from localsft.errors import (
     HypothesesViolated,
     InconsistentProfile,
+    InvalidCover,
+    IterateOutOfRange,
     NotImmersed,
     OddChern,
 )
+from localsft.exceptional import standard_neck
 from localsft.orbits import OrbitCollection, ReebOrbit, cz_iterate
 
 from test_hurwitz import partitions
@@ -794,3 +797,87 @@ def test_deeper_strata_adjacency_golden(case, digest):
     spec, neck = case()
     text = boundary_strata(spec, neck=neck, max_codim=2).render_adjacency()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- necks of several orbits, and nodes only within the level bound ------------------
+
+
+def _neck_orbits(kinds):
+    """One orbit per kind, ``e`` elliptic or ``h`` hyperbolic, named a, b, c."""
+    return [elliptic(name, theta, max_iterate=6) if kind == "e" else hyperbolic(name, cz1)
+            for name, kind, theta, cz1 in zip("abc", kinds,
+                                                (Fraction(3, 10), Fraction(7, 10), Fraction(11, 30)),
+                                                (1, 2, -3))]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_multi_orbit_neck_splits_match_brute_force(m, degree):
+    # along m orbits the two sides have 2d(2 - m) - 2 branch points in all, so for
+    # m >= 2 neither the oracle nor the strata find a splitting
+    for kinds in itertools.product("eh", repeat=m):
+        neck = standard_neck("N", _neck_orbits(kinds)).split()
+        for marked, constrained in ((0, 0), (1, 0), (1, 1)):
+            spec = CoverSpec(sphere(), degree, marked_points=marked,
+                             constrained_branch_points=constrained)
+            assert _codim_one_by_brute_force(spec, neck) == set()
+            assert boundary_strata(spec, neck=neck, max_codim=2).is_empty()
+
+
+def test_multi_orbit_neck_builds_each_orbit_profiles_once_and_glues_nothing(monkeypatch):
+    orbits = [hyperbolic("c", -3), elliptic("b", Fraction(3, 13), max_iterate=12),
+              hyperbolic("a", 2)]
+    neck = standard_neck("N", orbits).split()
+    profiles, glued = [], []
+    end_profiles, glue = covers.end_profiles, covers._glue
+
+    def spy_glue(*args, **kwargs):
+        for item in glue(*args, **kwargs):
+            glued.append(item)
+            yield item
+
+    monkeypatch.setattr(covers, "end_profiles", lambda orbit, total: profiles.append(
+        (orbit.name, total)) or end_profiles(orbit, total))
+    monkeypatch.setattr(covers, "_glue", spy_glue)
+    # degree 12: 77 profiles per orbit, 77^3 middles if any were glued
+    assert boundary_strata(CoverSpec(sphere(), 12), neck=neck).is_empty()
+    assert profiles == [("a", 12), ("b", 12), ("c", 12)]
+    assert glued == []
+
+
+def test_multi_orbit_neck_still_checks_each_orbit_iterate_range():
+    neck = standard_neck("N", [hyperbolic("a", 1), elliptic("b", max_iterate=3)]).split()
+    with pytest.raises(IterateOutOfRange):
+        boundary_strata(CoverSpec(sphere(), 4), neck=neck, max_codim=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strata_cases())
+def test_strata_make_only_nodes_with_branch_points(case):
+    # the level bound holds the ramification, so no node is built and then dropped
+    spec, neck = case
+    left = []
+    make_node = covers._make_node
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_make_node", lambda level, marks, n, tag: left.append(
+            level.spec.ramification - 2 * (n - 1)) or make_node(level, marks, n, tag))
+        boundary_strata(spec, neck=neck, max_codim=2)
+    assert left and min(left) >= 0
+
+
+def _plus_with_positive_end(g, h):
+    return BaseCurve("vplus", positive_ends=coll(h.iterate(1)),
+                     negative_ends=coll(g.iterate(1), sign="negative"))
+
+
+@pytest.mark.parametrize("orbits, sides", [
+    (lambda g, h: (g,), lambda g, h: (_plus_with_positive_end(g, h), plane_below(g))),
+    (lambda g, h: (g,), lambda g, h: (plane_above(g), plane_below(h))),
+    (lambda g, h: (g, h), lambda g, h: (plane_above(g), BaseCurve(
+        "vminus", positive_ends=coll(g.iterate(1), h.iterate(1))))),
+    (lambda g, h: (g,), lambda g, h: (sphere(), plane_below(g))),
+], ids=["positive-end-on-plus-side", "other-orbit", "missing-orbit", "closed-side"])
+def test_neck_sides_must_end_exactly_on_its_orbits(orbits, sides):
+    g, h = elliptic(), hyperbolic()
+    with pytest.raises(InvalidCover):
+        NeckSplit(orbits(g, h), *sides(g, h))
