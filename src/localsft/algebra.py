@@ -530,8 +530,15 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     return GradedSeries._of_slots(f.registry, f.truncation, terms, f._den * lift)
 
 
+def _kept(terms: SlotTerms, order: int | None) -> SlotTerms:
+    """The nonzero terms, and with an ``order`` only those of at most ``order`` letters."""
+    if order is None:
+        return {m: c for m, c in terms.items() if c}
+    return {m: c for m, c in terms.items() if c and len(m) <= order}
+
+
 def _substitute_slots(terms: SlotTerms, images: dict[int, tuple[SlotTerms, int]],
-                      truncation: int) -> tuple[SlotTerms, int]:
+                      truncation: int, order: int | None = None) -> tuple[SlotTerms, int]:
     """The substitution kernel: ``terms`` with each slot of ``images`` replaced.
 
     ``images`` maps a slot to the numerators and denominator of its image.
@@ -539,6 +546,11 @@ def _substitute_slots(terms: SlotTerms, images: dict[int, tuple[SlotTerms, int]]
     the result is over the input's denominator times ``lift``.  Monomials
     with no slot of ``images`` pass through, scaled by ``lift``; see
     ``substitute`` for the order of the products and the denominator.
+
+    With an ``order``, for callers that keep only result terms of at most
+    ``order`` letters, a partial product longer than that is dropped after
+    each product: letters only add up, so it feeds no kept term.  Terms
+    passed through are not filtered.
     """
     passed: list[tuple[tuple[int, ...], int]] = []
     moved: list[tuple[tuple[tuple[int, int], ...], int]] = []  # (runs, numerator)
@@ -565,16 +577,14 @@ def _substitute_slots(terms: SlotTerms, images: dict[int, tuple[SlotTerms, int]]
                 slot, e = key
                 power = base = images[slot][0] if slot in images else {(slot,): 1}
                 for _ in range(e - 1):
-                    power = {m: c for m, c in _add_product({}, power, _right(base),
-                                                          truncation).items() if c}
+                    power = _kept(_add_product({}, power, _right(base), truncation), order)
                 powers[key] = power
             if acc is None:
                 acc = {m: c * scale for m, c in powers[key].items()}
             else:
                 if key not in rights:
                     rights[key] = _right(powers[key])
-                acc = {m: c for m, c in _add_product({}, acc, rights[key], truncation).items()
-                       if c}
+                acc = _kept(_add_product({}, acc, rights[key], truncation), order)
             if not acc:
                 break
         for m, c in acc.items():

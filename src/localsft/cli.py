@@ -330,6 +330,7 @@ def cmd_check(args) -> int:
     for name in sorted(doc.necks):
         def check_neck(name=name):
             neck = doc.necks[name]
+            neck.split()  # the limit curves must end exactly on the neck, as for strata
             verdict = ex.elliptic_necessity(neck)
             notes = [f"necessity={verdict.kind}"]
             if len(neck.gamma_set) == 1 and neck.gamma_set[0].elliptic:

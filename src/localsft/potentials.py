@@ -17,7 +17,10 @@ declared, are those of recomputing both halves every time.  Each right
 side is split once into a settled part, the terms with no letter of its
 half's input, and a live part: the first pass, from zero inputs, is the
 settled parts, a half with no live terms is never recomputed, and later
-passes substitute into the live parts only.
+passes substitute into the live parts only.  The composed value is the
+critical value of ``F- + F+ - sum kappa^-1 q p``, read off by the graded
+Euler identity when the solution keeps its variables' parities (see
+``compose_sharp``).
 """
 
 from __future__ import annotations
@@ -321,6 +324,9 @@ def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
     return GradedSeries._of_slots(series.registry, series.truncation, terms, series._den)
 
 
+# slot -> reduced (numerators, denominator) of its image
+_Images = dict[int, tuple[SlotTerms, int]]
+
 # the right side of one middle variable: (first pass value, settled part, live part,
 # denominator); the first pass value is the reduced settled part, the parts are
 # numerators over the denominator
@@ -343,8 +349,8 @@ def _split_rhs(terms: SlotTerms, den: int, kappa: int, inputs: set[int], order: 
     return _reduced(settled, den), settled, live, den
 
 
-def _picard_half(rhs: dict[int, _Rhs], images: dict[int, tuple[SlotTerms, int]],
-                 truncation: int, order: int) -> dict[int, tuple[SlotTerms, int]]:
+def _picard_half(rhs: dict[int, _Rhs], images: _Images, truncation: int,
+                 order: int) -> _Images:
     """One half of a Picard pass: the settled part plus the live part substituted."""
     moving = any(terms for terms, _ in images.values())
     out = {}
@@ -352,7 +358,7 @@ def _picard_half(rhs: dict[int, _Rhs], images: dict[int, tuple[SlotTerms, int]],
         if not (live and moving):  # zero inputs zero every live term
             out[slot] = first
             continue
-        terms, lift = _substitute_slots(live, images, truncation)
+        terms, lift = _substitute_slots(live, images, truncation, order)
         for mono, coeff in settled.items():
             terms[mono] = terms.get(mono, 0) + coeff * lift
         out[slot] = _reduced({m: c for m, c in terms.items() if len(m) <= order}, den * lift)
@@ -362,6 +368,16 @@ def _picard_half(rhs: dict[int, _Rhs], images: dict[int, tuple[SlotTerms, int]],
 def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
                       middle: list[OrbitIterate], order: int
                       ) -> tuple[dict[Variable, GradedSeries], dict[Variable, GradedSeries]]:
+    """The q~ and p~ solutions of ``_solve_slots`` as series keyed by their variables."""
+    registry = f_minus.registry
+    var = _slots(registry)
+    return tuple({var[s]: GradedSeries._of_slots(registry, f_minus.truncation, *sol)
+                  for s, sol in half.items()}
+                 for half in _solve_slots(f_minus, f_plus, middle, order))
+
+
+def _solve_slots(f_minus: GradedSeries, f_plus: GradedSeries,
+                 middle: list[OrbitIterate], order: int) -> tuple[_Images, _Images]:
     """Solve ``p~ = kappa dL F+/dq~`` and ``q~ = kappa dR F-/dp~`` by Picard passes.
 
     The middle slots are resolved once.  Each right side is split once into
@@ -369,8 +385,8 @@ def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
     live part.  The first pass substitutes zero inputs, so it is the settled
     parts; a later pass substitutes the current inputs into the live parts
     only, and only for a half whose input moved in the previous pass and
-    that has live terms.  Solutions are kept as reduced numerators over one
-    denominator and become series once, at the fixed point.
+    that has live terms.  Returns the q~ and p~ solutions by slot, as
+    reduced numerators over one denominator.
     """
     registry = f_minus.registry
     truncation = f_minus.truncation
@@ -401,8 +417,7 @@ def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
         new_q = _picard_half(q_rhs, p_sol, truncation, order) if p_moved else q_sol
         p_moved, q_moved = new_p != p_sol, new_q != q_sol
         if not (p_moved or q_moved):
-            return tuple({var[s]: GradedSeries._of_slots(registry, truncation, *sol)
-                          for s, sol in half.items()} for half in (q_sol, p_sol))
+            return q_sol, p_sol
         q_sol, p_sol = new_q, new_p
     constants = {}
     for s, (terms, den) in itertools.chain(q_sol.items(), p_sol.items()):
@@ -424,19 +439,46 @@ def compose_sharp(f_minus: Potential, f_plus: Potential,
     constraints and the result lives in the remaining external variables,
     kept to total external degree ``order >= 0``.  A middle iterate may be
     listed once.
+
+    The result is the critical value of ``F- + F+ - sum kappa^-1 q~ p~`` at
+    the solution ``(q*, p*)``.  When every term of every solution has the
+    parity of its middle variable, substitution is a homomorphism, and the
+    graded Euler identity ``sum_i dR F-/dp~_i * p~_i = sum_e e F-_e``, with
+    ``F-_e`` the part of ``F-`` with ``e`` letters p~ of a middle iterate,
+    turns the substituted correction into ``sum_e e F-_e(p*)``, since
+    ``q*_i = kappa_i dR F-/dp~_i (p*)``.  So the result is
+    ``F+(q*) + F-_0 - sum_{e>=2} (e-1) F-_e(p*)``: the p~-linear part of
+    ``F-`` and the correction are never multiplied out.  Otherwise the
+    whole of ``F- + F+ - correction`` is substituted.  Both are exact
+    under truncation: a solution term dropped for its length or p-degree
+    feeds only result terms that are dropped as well.
     """
     if order < 0:
         raise InvalidTruncation(f"composition order must be non-negative, got {order}")
     fm, fp = f_minus.series, f_plus.series
     fm._check_compatible(fp)
-    q_sol, p_sol = _solve_lagrangian(fm, fp, middle, order)
-    correction = identity_series(middle, fm.registry, fm.truncation,
-                                 q_side="middle", p_side="middle")
-    total = fm + fp - correction
-    assignment = {**q_sol, **p_sol}
-    result = substitute(total, assignment, check_degrees=False)
-    result = _external_truncate(result, order)
-    return Potential(result, q_side=f_minus.q_side, p_side=f_plus.p_side)
+    registry, truncation = fm.registry, fm.truncation
+    q_sol, p_sol = _solve_slots(fm, fp, middle, order)
+
+    def substituted(terms: SlotTerms, den: int, images: _Images) -> GradedSeries:
+        terms, lift = _substitute_slots(terms, images, truncation, order)
+        return GradedSeries._of_slots(registry, truncation, terms, den * lift)
+
+    if all(sum(s & 1 for s in mono) & 1 == slot & 1
+           for half in (q_sol, p_sol) for slot, (terms, _) in half.items() for mono in terms):
+        # F- reweighted by 1 - e for its number e of middle letters: e = 1 drops out
+        weighted: SlotTerms = {}
+        for mono, coeff in fm._terms.items():
+            e = sum(1 for s in mono if s in p_sol)
+            if e != 1:
+                weighted[mono] = coeff * (1 - e)
+        result = substituted(weighted, fm._den, p_sol) + substituted(fp._terms, fp._den, q_sol)
+    else:
+        total = fm + fp - identity_series(middle, registry, truncation,
+                                          q_side="middle", p_side="middle")
+        result = substituted(total._terms, total._den, {**q_sol, **p_sol})
+    return Potential(_external_truncate(result, order),
+                     q_side=f_minus.q_side, p_side=f_plus.p_side)
 
 
 def reside_potential(potential: Potential, middle_orbits: set[str],

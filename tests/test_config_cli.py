@@ -230,8 +230,11 @@ def test_cylinder_neck_and_unordered_collection_roundtrip(tmp_path):
     cfg = tmp_path / "roundtrip.cfg"
     cfg.write_text(text)
     code, out, err = run_cli("--config", str(cfg), "check")
-    assert code == 0, out + err
+    assert code == 1, out + err
     assert "config-roundtrip  pass" in out
+    # the limit curves end off the neck, so check fails the neck as strata --neck does
+    assert ("neck:n            FAIL    E_COVER: neck limit curve cyl(h) must have negative "
+            "ends (h) and no positive end") in out
 
 
 @pytest.mark.parametrize("argv", [

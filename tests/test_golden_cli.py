@@ -2,7 +2,8 @@
 
 Each run is stored as one SHA-256 in ``golden_cli.json``, keyed by its
 arguments.  The runs cover every subcommand in both formats on the shipped
-example and a few broken documents that pin exit statuses 1, 2 and 3.
+example and a few broken documents that pin exit statuses 1, 2 and 3, and compositions
+over an odd middle orbit.
 
 Re-record with ``PYTHONPATH=src python tests/test_golden_cli.py``; a
 change of output that is meant lists its changed keys in ``CHANGES.md``.
@@ -55,6 +56,15 @@ BROKEN = {
                         "table H orbit=g\n  (g) (g) 1\nend\n", ["hamiltonian", "H"]),
 }
 
+#: A hyperbolic middle orbit with even ``cz1``, so every middle letter is odd.
+#: ``A``'s rows all have an even number of letters, so the middle solutions
+#: keep the parity of their variables; ``M``'s rows mix two and three
+#: letters, so they do not.  Both have rows with two q letters on ``h``.
+ODD_MIDDLE = ("truncation 6\n"
+              "orbit h hyperbolic cz1=2\n"
+              "table A orbit=h\n  (h) (h) 1/2\n  (h^2) (h^2) -1\n  (h,h^2) (h,h^2) 1/3\nend\n"
+              "table M orbit=h\n  (h) (h) 1\n  (h^3) (h,h^2) 2\n  (h,h^2) (h^3) -1/3\nend\n")
+
 
 def _runs(directory: Path):
     """(key, argv) of every golden run; broken documents are written to ``directory``."""
@@ -76,6 +86,12 @@ def _runs(directory: Path):
                    ["--config", str(EXAMPLE), "--format", fmt, *argv])
         argv = ["hurwitz", "--degree", "4", "--profile", "2,2", "--branch-points", "4"]
         yield f"{fmt} {' '.join(argv)}", ["--format", fmt, *argv]
+    path = directory / "odd-middle.cfg"
+    path.write_text(ODD_MIDDLE)
+    for left, right in itertools.product("AM", repeat=2):
+        for order in ("0", "2"):
+            argv = ["compose", left, right, "--middle", "h", "--order", order]
+            yield f"odd-middle {' '.join(argv)}", ["--config", str(path), *argv]
     for name, (text, argv) in BROKEN.items():
         path = directory / f"{name}.cfg"
         path.write_text(text)

@@ -572,6 +572,132 @@ class TestPicardPasses:
         assert potentials._solve_lagrangian(f_minus, f_plus, mids, order) == (want_q, want_p)
 
 
+# letters of the critical-value tests: 0 an even external letter, 1 an odd one, 2-5 the
+# middle iterates a, a^2 (even) and b, b^2 (odd; b is hyperbolic with even cz1)
+_CRITICAL_MIDDLE = [REG.get("a").iterate(1), REG.get("a").iterate(2),
+                    REG.get("b").iterate(1), REG.get("b").iterate(2)]
+_CRITICAL_MINUS = ([var("gm", kind="q", side="minus"), var("b", 3, "q", "minus")]
+                   + [Variable(it, "p", "middle") for it in _CRITICAL_MIDDLE])
+_CRITICAL_PLUS = ([var("gp", kind="p", side="plus"), var("b", 3, "p", "plus")]
+                  + [Variable(it, "q", "middle") for it in _CRITICAL_MIDDLE])
+# (numerator, denominator, letters): one or two even external letters, then up to three
+# middle ones and maybe the odd external one
+_critical_term = st.tuples(
+    st.integers(-3, 3).filter(bool), st.integers(1, 3),
+    st.tuples(st.integers(1, 2), st.lists(st.integers(2, 5), max_size=3), st.booleans()).map(
+        lambda drawn: (0,) * drawn[0] + tuple(drawn[1]) + (1,) * drawn[2]))
+
+
+def _critical_series(spec, letters, even):
+    """The terms of ``spec``; with ``even``, the odd external letter evens out each term."""
+    words = []
+    for num, den, word in spec:
+        if even and sum(letters[i].odd for i in word) % 2:
+            word = tuple(i for i in word if i != 1) if 1 in word else word + (1,)
+        words.append((num, den, word))
+    return _solve_series(words, letters)
+
+
+def _full_substitution(f_minus, f_plus, middle, order):
+    """The oracle: ``F- + F+ - correction`` substituted at the solution, then truncated."""
+    q_sol, p_sol = potentials._solve_lagrangian(f_minus, f_plus, middle, order)
+    total = f_minus + f_plus - identity_series(middle, REG, TRUNC, "middle", "middle")
+    return _external_truncate(substitute(total, {**q_sol, **p_sol}, check_degrees=False),
+                              order)
+
+
+def _euler_formula(f_minus, f_plus, middle, order):
+    """``F+(q*) + F-_0 - sum_{e>=2} (e-1) F-_e(p*)``, whatever the parities."""
+    q_sol, p_sol = potentials._solve_lagrangian(f_minus, f_plus, middle, order)
+    weighted = {}
+    for mono, coeff in f_minus.terms():
+        e = sum(exp for v, exp in mono if v in p_sol)
+        if e != 1:
+            weighted[mono] = coeff * (1 - e)
+    return _external_truncate(
+        substitute(GradedSeries(REG, TRUNC, weighted), p_sol, check_degrees=False)
+        + substitute(f_plus, q_sol, check_degrees=False), order)
+
+
+def _parities_kept(f_minus, f_plus, middle, order):
+    """Whether every term of every solution has the parity of its middle variable."""
+    return all(sum(v.odd * exp for v, exp in mono) % 2 == target.odd
+               for half in potentials._solve_lagrangian(f_minus, f_plus, middle, order)
+               for target, image in half.items() for mono, _ in image.terms())
+
+
+class TestCriticalValue:
+    def _compose(self, f_minus, f_plus, middle, order):
+        return compose_sharp(Potential(f_minus, p_side="middle"),
+                             Potential(f_plus, q_side="middle"), middle, order).series
+
+    def test_matches_the_full_substitution(self, monkeypatch):
+        built = []
+        identity = potentials.identity_series
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return identity(*args, **kwargs)
+
+        monkeypatch.setattr(potentials, "identity_series", spy)
+        branches = Counter()
+
+        @settings(max_examples=80, deadline=None)
+        @given(st.lists(_critical_term, max_size=4), st.lists(_critical_term, max_size=4),
+               st.booleans(), st.integers(0, 6))
+        # even and odd middle letters, every term even: the Euler formula
+        @example([(-3, 1, (0, 2)), (1, 2, (0, 4, 5, 1)), (2, 1, (0, 2, 3))],
+                 [(1, 1, (0, 2, 3)), (-1, 3, (0, 4, 1)), (1, 1, (0, 0, 5, 1))], True, 5)
+        # odd terms on odd middle letters: the full substitution
+        @example([(-3, 2, (0, 4))], [(3, 1, (0, 4))], False, 2)
+        def check(minus_spec, plus_spec, even, order):
+            f_minus = _critical_series(minus_spec, _CRITICAL_MINUS, even)
+            f_plus = _critical_series(plus_spec, _CRITICAL_PLUS, even)
+            want = _full_substitution(f_minus, f_plus, _CRITICAL_MIDDLE, order)
+            del built[:]
+            assert self._compose(f_minus, f_plus, _CRITICAL_MIDDLE, order) == want
+            kept = _parities_kept(f_minus, f_plus, _CRITICAL_MIDDLE, order)
+            assert (not built) == kept  # the correction is built only on the full path
+            branches["euler" if kept else "full"] += 1
+
+        check()
+        assert branches["euler"] and branches["full"]
+
+    def test_mixed_parity_needs_the_full_substitution(self):
+        # q*[b] = -3/2 q-[gm] is even while q~[b] is odd: substitution is no homomorphism
+        mids = [REG.get("b").iterate(1)]
+        qm, pp = S(var("gm", kind="q", side="minus")), S(var("gp", kind="p", side="plus"))
+        f_minus = multiply(S(var("b", 1, "p")), qm).scale(Fraction(-3, 2))
+        f_plus = multiply(S(var("b", 1, "q")), pp).scale(3)
+        assert not _parities_kept(f_minus, f_plus, mids, 2)
+        got = self._compose(f_minus, f_plus, mids, 2)
+        assert got == _full_substitution(f_minus, f_plus, mids, 2) == multiply(qm, pp).scale(
+            Fraction(-27, 2))
+        assert _euler_formula(f_minus, f_plus, mids, 2) == multiply(qm, pp).scale(
+            Fraction(-9, 2))
+
+    def test_no_partial_product_is_longer_than_the_order(self, monkeypatch):
+        left_lengths, out_lengths = [], []
+        product = algebra._add_product
+
+        def spy(terms, a, right, *args):
+            left_lengths.extend(map(len, a))
+            out = product(terms, a, right, *args)
+            out_lengths.extend(map(len, out))
+            return out
+
+        monkeypatch.setattr(algebra, "_add_product", spy)
+        f_minus = _critical_series([(1, 1, (0, 0, 2, 3)), (2, 1, (0, 2, 2)), (-1, 2, (0, 4, 5))],
+                                   _CRITICAL_MINUS, True)
+        f_plus = _critical_series([(1, 1, (0, 2, 3)), (1, 3, (0, 0, 2)), (3, 1, (0, 4, 5))],
+                                  _CRITICAL_PLUS, True)
+        for order in (2, 3, 4):
+            del left_lengths[:], out_lengths[:]
+            self._compose(f_minus, f_plus, _CRITICAL_MIDDLE, order)
+            assert left_lengths and max(left_lengths) <= order
+            assert max(out_lengths) > order  # the products do reach beyond the order
+
+
 class TestIdentitySeries:
     @staticmethod
     def _by_products(iterates, q_side, p_side):
@@ -645,6 +771,70 @@ class TestTransformPotential:
             transform_potential(f0, f10, f01, mm, mp * 2, order=6)
         with pytest.raises(InvalidTruncation, match="composition order"):
             transform_potential(f0, f10, f01, mm, mp, order=-1)
+
+    def test_rail_triple_multiplies_out_only_the_critical_terms(self, monkeypatch):
+        # elliptic rails: every letter is even, so each composition takes the Euler formula
+        mm = [REG.get("gm").iterate(k) for k in (1, 2)]
+        mp = [REG.get("gp").iterate(k) for k in (1, 2)]
+
+        def rail(q_name, p_name, words):
+            series = GradedSeries.zero(REG, TRUNC)
+            for coeff, qs, ps in words:
+                term = GradedSeries.constant(REG, TRUNC, coeff)
+                for k in qs:
+                    term = multiply(term, S(var(q_name, k, "q", "minus")))
+                for k in ps:
+                    term = multiply(term, S(var(p_name, k, "p", "plus")))
+                series = series + term
+            return Potential(series, q_side="minus", p_side="plus")
+
+        # terms with one and with two middle letters on both sides of each composition
+        f10 = rail("gm", "gm", [(2, (1,), (1,)), (Fraction(1, 3), (2,), (1, 2)), (-1, (1,), (2,))])
+        f01 = rail("gp", "gp", [(3, (1,), (1,)), (1, (1, 2), (2,)), (Fraction(-1, 2), (2,), (1,))])
+        f0 = rail("gm", "gp", [(5, (1,), (1,)), (-2, (1, 2), (1,)), (1, (2,), (1, 2))])
+        built, composed = [], []
+        identity, compose, solve = (potentials.identity_series, potentials.compose_sharp,
+                                    potentials._solve_slots)
+        kernel = potentials._substitute_slots
+        solving = []
+
+        def identity_spy(*args, **kwargs):
+            built.append(args)
+            return identity(*args, **kwargs)
+
+        def compose_spy(f_minus, f_plus, middle, order):
+            composed.append((f_minus.series, f_plus.series, middle, []))
+            return compose(f_minus, f_plus, middle, order)
+
+        def solve_spy(*args):
+            solving.append(True)
+            try:
+                return solve(*args)
+            finally:
+                solving.pop()
+
+        def kernel_spy(terms, images, *args):
+            if not solving:  # the substitution of the composed value, not of the solve
+                composed[-1][3].extend(m for m in terms if not images.keys().isdisjoint(m))
+            return kernel(terms, images, *args)
+
+        monkeypatch.setattr(potentials, "identity_series", identity_spy)
+        monkeypatch.setattr(potentials, "compose_sharp", compose_spy)
+        monkeypatch.setattr(potentials, "_solve_slots", solve_spy)
+        monkeypatch.setattr(potentials, "_substitute_slots", kernel_spy)
+        transform_potential(f0, f10, f01, mm, mp, order=5)
+        assert built == []  # no correction series
+        assert len(composed) == 4
+        slot = algebra._slots(REG).slot
+        two_letter_rows = 0
+        for f_minus, f_plus, middle, substituted in composed:
+            q_slots = {slot(Variable(it, "q", "middle")) for it in middle}
+            p_slots = {slot(Variable(it, "p", "middle")) for it in middle}
+            critical = ([m for m in f_plus._terms if not q_slots.isdisjoint(m)]
+                        + [m for m in f_minus._terms if sum(s in p_slots for s in m) >= 2])
+            two_letter_rows += sum(sum(s in p_slots for s in m) >= 2 for m in f_minus._terms)
+            assert sorted(substituted) == sorted(critical)
+        assert two_letter_rows
 
     def test_random_triples_associate(self):
         rng = random.Random(11)
