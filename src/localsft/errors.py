@@ -72,7 +72,8 @@ class NotHomogeneous(DegreeMismatch, ValueError):
 
 
 class TruncationOverflow(LocalSFTError):
-    """Substitution cannot preserve correctness up to the truncation order."""
+    """Substitution cannot preserve correctness up to the truncation order, or a
+    monomial has more letters than its packed fields hold."""
 
     code = "E_TRUNCATION"
 

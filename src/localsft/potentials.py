@@ -32,19 +32,27 @@ from math import factorial, lcm
 from operator import itemgetter
 
 from .algebra import (
+    _FIELDS,
+    _LETTERS,
+    _Q_BIT,
     GradedSeries,
     Monomial,
-    SlotTerms,
+    PackedTerms,
     Variable,
     _add_pairing,
-    _canonical,
     _check_truncation,
     _conjugate_pairs,
     _kappa,
+    _kept,
+    _mask,
+    _odd,
+    _ordered,
+    _packed,
     _partial,
     _reduced,
     _slots,
     _substitute_slots,
+    _used,
     partial,
     partial_right,
     render_monomial,
@@ -238,22 +246,39 @@ def _monomial_key(mono: Monomial, potential: Potential) -> TableKey | None:
 
 
 def potential_to_counts(potential: Potential) -> CountTable:
-    """Read the counts back off the coefficients (inverse of the weights)."""
+    """Read the counts back off the coefficients (inverse of the weights).
+
+    Each coefficient is read off its own term, with the sign of the q-first
+    order in which ``_key_monomial`` writes it.  A key of the source table
+    keeps the source's checks and rank flag; any other key is checked as a
+    new row, in ``terms()`` order.
+    """
     if potential.source is None:
         raise InvalidTable("potential has no table provenance to rebuild")
-    table = potential.source
+    source = potential.source
     series = potential.series
+    var = _slots(series.registry)
     entries: dict[TableKey, Fraction] = {}
-    for mono, _ in series.terms():
+    for runs, code in _ordered(series._terms):
+        mono = tuple((var[s], e) for s, e in runs)
         key = _monomial_key(mono, potential)
         if key is None:
             raise InadmissibleKey(
                 f"monomial {render_monomial(mono)} has a variable outside the "
                 f"potential's (q {potential.q_side}, p {potential.p_side}) slots")
-        entries[key] = series.coefficient(_key_monomial(
-            *key, series.registry, potential.q_side, potential.p_side)) / _weight(*key)
-    return CountTable(table.context_kind, table.context_name, entries,
-                      table.registry, base=table.base)
+        written = [r for r in runs if r[0] & _Q_BIT] + [r for r in runs if not r[0] & _Q_BIT]
+        entries[key] = (Fraction(_packed(written)[1] * series._terms[code], series._den)
+                        / _weight(*key))
+    table = CountTable(source.context_kind, source.context_name, {}, source.registry,
+                       base=source.base)
+    for key, count in entries.items():
+        if key in source.entries:
+            table.entries[key] = count
+            table.hypothesis_ok[key] = source.hypothesis_ok[key]
+        else:
+            table._add(table._collection(key[0], "positive"),
+                       table._collection(key[1], "negative"), count)
+    return table
 
 
 @dataclass(frozen=True)
@@ -298,18 +323,18 @@ def identity_series(iterates: list[OrbitIterate], registry: OrbitRegistry,
                     truncation: int, q_side: str, p_side: str) -> GradedSeries:
     """``sum kappa^{-1} q p`` over the given iterates: the unit for ``#``.
 
-    Each iterate adds its sorted ``(q, p)`` slot pair, with the Koszul sign
-    of ``q p``, over the common denominator ``lcm(kappa)``.
+    Each iterate adds its packed ``q p``, with the sign that takes that
+    written order to field order, over the common denominator ``lcm(kappa)``.
     """
     _check_truncation(truncation)
     var = _slots(registry)
     den = lcm(*(it.k for it in iterates))
-    terms: SlotTerms = {}
+    terms: PackedTerms = {}
     for it in iterates:
-        mono, sign = _canonical((var.slot(Variable(it, "q", q_side)),
-                                 var.slot(Variable(it, "p", p_side))))
+        mono, sign = _packed(((var.slot(Variable(it, "q", q_side)), 1),
+                              (var.slot(Variable(it, "p", p_side)), 1)))
         terms[mono] = terms.get(mono, 0) + sign * (den // it.k)
-    return GradedSeries._of_slots(registry, truncation, terms, den)
+    return GradedSeries._of_packed(registry, truncation, terms, den)
 
 
 def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
@@ -320,29 +345,30 @@ def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
 
 
 def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
-    terms = {m: c for m, c in series._terms.items() if len(m) <= order}
-    return GradedSeries._of_slots(series.registry, series.truncation, terms, series._den)
+    terms = _kept(series._terms, order)
+    return GradedSeries._of_packed(series.registry, series.truncation, terms, series._den)
 
 
 # slot -> reduced (numerators, denominator) of its image
-_Images = dict[int, tuple[SlotTerms, int]]
+_Images = dict[int, tuple[PackedTerms, int]]
 
 # the right side of one middle variable: (first pass value, settled part, live part,
 # denominator); the first pass value is the reduced settled part, the parts are
 # numerators over the denominator
-_Rhs = tuple[tuple[SlotTerms, int], SlotTerms, SlotTerms, int]
+_Rhs = tuple[tuple[PackedTerms, int], PackedTerms, PackedTerms, int]
 
 
-def _split_rhs(terms: SlotTerms, den: int, kappa: int, inputs: set[int], order: int) -> _Rhs:
+def _split_rhs(terms: PackedTerms, den: int, kappa: int, inputs: int, order: int) -> _Rhs:
     """``kappa * terms / den`` split into its settled terms, free of ``inputs``, and live ones.
 
-    A settled term beyond ``order`` letters is dropped: no pass keeps it.
+    ``inputs`` is the field mask of the input slots.  A settled term beyond
+    ``order`` letters is dropped: no pass keeps it.
     """
-    settled: SlotTerms = {}
-    live: SlotTerms = {}
+    settled: PackedTerms = {}
+    live: PackedTerms = {}
     for mono, coeff in terms.items():
-        if inputs.isdisjoint(mono):
-            if len(mono) <= order:
+        if not mono & inputs:
+            if mono & _LETTERS <= order:
                 settled[mono] = coeff * kappa
         else:
             live[mono] = coeff * kappa
@@ -361,7 +387,7 @@ def _picard_half(rhs: dict[int, _Rhs], images: _Images, truncation: int,
         terms, lift = _substitute_slots(live, images, truncation, order)
         for mono, coeff in settled.items():
             terms[mono] = terms.get(mono, 0) + coeff * lift
-        out[slot] = _reduced({m: c for m, c in terms.items() if len(m) <= order}, den * lift)
+        out[slot] = _reduced(_kept(terms, order), den * lift)
     return out
 
 
@@ -371,7 +397,7 @@ def _solve_lagrangian(f_minus: GradedSeries, f_plus: GradedSeries,
     """The q~ and p~ solutions of ``_solve_slots`` as series keyed by their variables."""
     registry = f_minus.registry
     var = _slots(registry)
-    return tuple({var[s]: GradedSeries._of_slots(registry, f_minus.truncation, *sol)
+    return tuple({var[s]: GradedSeries._of_packed(registry, f_minus.truncation, *sol)
                   for s, sol in half.items()}
                  for half in _solve_slots(f_minus, f_plus, middle, order))
 
@@ -398,15 +424,16 @@ def _solve_slots(f_minus: GradedSeries, f_plus: GradedSeries,
             raise RegistryMismatch(f"middle iterate {it.name} is listed twice")
     for series, forbidden, which in ((f_minus, set(q_slots), "left"),
                                      (f_plus, set(p_slots), "right")):
-        bad = forbidden.intersection(itertools.chain.from_iterable(series._terms))
+        bad = forbidden.intersection(_used(series._terms))
         if bad:
             raise RegistryMismatch(f"{which} factor may not depend on the middle variable "
                                    f"{var[min(bad)].render()}")
     # p~ = kappa dF+/dq~ and q~ = kappa dR F-/dp~, each solved by substitution
+    q_mask, p_mask = _mask(q_slots), _mask(p_slots)
     p_rhs = {p: _split_rhs(_partial(f_plus._terms, q, False), f_plus._den, _kappa(q),
-                           set(q_slots), order) for p, q in zip(p_slots, q_slots)}
+                           q_mask, order) for p, q in zip(p_slots, q_slots)}
     q_rhs = {q: _split_rhs(_partial(f_minus._terms, p, True), f_minus._den, _kappa(p),
-                           set(p_slots), order) for p, q in zip(p_slots, q_slots)}
+                           p_mask, order) for p, q in zip(p_slots, q_slots)}
     zero = ({}, 1)
     q_sol = dict.fromkeys(q_slots, zero)
     p_sol = dict.fromkeys(p_slots, zero)
@@ -421,8 +448,8 @@ def _solve_slots(f_minus: GradedSeries, f_plus: GradedSeries,
         q_sol, p_sol = new_q, new_p
     constants = {}
     for s, (terms, den) in itertools.chain(q_sol.items(), p_sol.items()):
-        if terms.get(()):
-            constants[var[s].render()] = Fraction(terms[()], den)
+        if terms.get(0):  # the code of the empty monomial
+            constants[var[s].render()] = Fraction(terms[0], den)
     raise NoFormalSolution(
         f"constraint system did not stabilize within {order + 2} passes; "
         f"obstructing constant terms: "
@@ -460,16 +487,17 @@ def compose_sharp(f_minus: Potential, f_plus: Potential,
     registry, truncation = fm.registry, fm.truncation
     q_sol, p_sol = _solve_slots(fm, fp, middle, order)
 
-    def substituted(terms: SlotTerms, den: int, images: _Images) -> GradedSeries:
+    def substituted(terms: PackedTerms, den: int, images: _Images) -> GradedSeries:
         terms, lift = _substitute_slots(terms, images, truncation, order)
-        return GradedSeries._of_slots(registry, truncation, terms, den * lift)
+        return GradedSeries._of_packed(registry, truncation, terms, den * lift)
 
-    if all(sum(s & 1 for s in mono) & 1 == slot & 1
+    if all(_odd(mono) == slot & 1
            for half in (q_sol, p_sol) for slot, (terms, _) in half.items() for mono in terms):
         # F- reweighted by 1 - e for its number e of middle letters: e = 1 drops out
-        weighted: SlotTerms = {}
+        shifts = [_FIELDS[p] for p in p_sol]
+        weighted: PackedTerms = {}
         for mono, coeff in fm._terms.items():
-            e = sum(1 for s in mono if s in p_sol)
+            e = sum(mono >> shift & _LETTERS for shift in shifts)
             if e != 1:
                 weighted[mono] = coeff * (1 - e)
         result = substituted(weighted, fm._den, p_sol) + substituted(fp._terms, fp._den, q_sol)
@@ -548,10 +576,10 @@ def hamilton_jacobi_rhs(h_plus: Potential, h_minus: Potential,
     hm._check_compatible(k)
     pairs = _conjugate_pairs(hp, hm, k)
     # both pairings over the one denominator hp * k * hm
-    terms: SlotTerms = {}
+    terms: PackedTerms = {}
     _add_pairing(terms, hp._terms, k._terms, pairs, k.truncation, hm._den)
     _add_pairing(terms, k._terms, hm._terms, pairs, k.truncation, hp._den)
-    return GradedSeries._of_slots(k.registry, k.truncation, terms, hp._den * k._den * hm._den)
+    return GradedSeries._of_packed(k.registry, k.truncation, terms, hp._den * k._den * hm._den)
 
 
 def lagrangian_restrict(g: GradedSeries, f_v: Potential) -> GradedSeries:

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -665,3 +669,99 @@ def test_odd_odd_bracket_matches_slow_oracle(f, g):
     # both odd: the bracket is P(f, g) + P(g, f), so the 2 P(g_odd, f_odd) term is all of P(g, f)
     assert f.degree() % 2 == 1 and g.degree() % 2 == 1
     assert poisson_bracket(f, g) == _reference_bracket(f, g)
+
+
+# -- packed monomials: the letter-list oracle, field order, the letter bound ----
+
+# a term: nonzero numerator, sided letters (odd ones included), a power of one even
+# q-variable up to 40, and p-letters of p~[a] up to the truncation, so that the p-degrees
+# of a pair straddle the truncation
+_EVEN_QS = [QA, QA2, var("a", 1, "q", "plus")]
+_packed_term = st.tuples(
+    st.integers(-5, 5).filter(bool),
+    st.lists(st.integers(0, len(SIDED_VARS) - 1), max_size=3),
+    st.sampled_from(_EVEN_QS), st.integers(0, 40), st.integers(0, TRUNC))
+
+
+def _packed_series(spec):
+    return GradedSeries(REG, TRUNC, {
+        tuple((SIDED_VARS[i], 1) for i in letters) + ((q, q_exp), (PA, p_exp)): coeff
+        for coeff, letters, q, q_exp, p_exp in spec})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_packed_term, max_size=4), st.lists(_packed_term, max_size=4))
+def test_packed_products_match_letter_list_oracle(f_spec, g_spec):
+    f, g = _packed_series(f_spec), _packed_series(g_spec)
+    assert _fraction_terms(multiply(f, g)) == _fraction_product(
+        _fraction_terms(f), _fraction_terms(g))
+
+
+_FIELD_ORDER_SCRIPT = """
+import sys
+from fractions import Fraction
+from localsft import algebra
+from localsft.algebra import GradedSeries, Variable, multiply, poisson_bracket, reside
+from localsft.orbits import OrbitRegistry, ReebOrbit
+
+reg = OrbitRegistry([ReebOrbit("a", "elliptic", theta=Fraction(3, 10), max_iterate=4),
+                     ReebOrbit("b", "hyperbolic", cz1=2), ReebOrbit("c", "hyperbolic", cz1=-2)])
+letters = [Variable(reg.get(name).iterate(k), kind, side)
+           for name, k in (("a", 1), ("a", 2), ("b", 1), ("c", 1))
+           for kind in ("p", "q") for side in ("middle", "plus")]
+if sys.argv[1] == "reversed":
+    letters.reverse()
+for v in letters:  # the series kernel meets the variables in this order
+    GradedSeries.of(reg, 6, v)
+print(algebra._FIELDS.slots[0], file=sys.stderr)
+letters.sort(key=lambda v: v.key)
+terms = {}
+for i in range(12):
+    word = [letters[(5 * i + 3 * j) % len(letters)] for j in range(1 + i % 4)]
+    terms[tuple((v, 1) for v in word)] = Fraction(i - 5, 1 + i % 3)
+f = GradedSeries(reg, 6, terms)
+g = reside(multiply(f, f) + f, kind="p", side="plus", new_side="middle")
+for series in (f, g, multiply(f, g), poisson_bracket(f, g)):
+    print(series.render())
+    print(series.terms())
+"""
+
+
+def test_first_seen_field_order_never_reaches_output():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run([sys.executable, "-c", _FIELD_ORDER_SCRIPT, order], env=env,
+                           capture_output=True, text=True, check=True)
+            for order in ("forward", "reversed")]
+    assert runs[0].stderr != runs[1].stderr  # the two processes gave the slots other fields
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count("\n") == 8 and "-" in runs[0].stdout
+
+
+def test_products_over_equal_but_distinct_registries():
+    other = make_registry()
+    # the other registry's variables are met first, in an order of their own
+    twins = [Variable(other.get(v.iterate.orbit.name).iterate(v.iterate.k), v.kind, v.side)
+             for v in reversed(SIDED_VARS)]
+    f = _packed_series([(3, [4, 5, 1], QA, 2, 1), (-1, [7, 12], QA2, 0, 3)])
+    g = GradedSeries(other, TRUNC, {((twins[3], 1), (twins[10], 1)): Fraction(2, 3),
+                                    ((twins[2], 1), (twins[8], 2)): 5})
+    g_here = _twin(g, REG)
+    assert multiply(f, g) == multiply(f, g_here) == multiply(_twin(f, other), g)
+    assert multiply(g, f).render() == multiply(g_here, f).render()
+    assert multiply(f, g)._terms == multiply(f, g_here)._terms
+
+
+def test_a_monomial_of_too_many_letters_is_refused_where_it_is_built():
+    limit = (1 << 16) - 1
+    assert GradedSeries(REG, TRUNC, {((QA, limit),): 1}).coefficient(((QA, limit),)) == 1
+    with pytest.raises(TruncationOverflow, match="65536 letters"):
+        GradedSeries(REG, TRUNC, {((QA, limit - 1), (QA2, 2)): 1})
+
+
+def test_a_product_of_too_many_letters_is_refused_once_per_left_term():
+    long_q = GradedSeries(REG, TRUNC, {((QA, 40000),): 1, ((QA2, 1),): 1})
+    fits = GradedSeries(REG, TRUNC, {((QA, 25535),): 1})
+    assert multiply(long_q, fits).coefficient(((QA, 65535),)) == 1
+    with pytest.raises(TruncationOverflow, match="65536 letters"):
+        multiply(long_q, GradedSeries(REG, TRUNC, {((QA, 25536),): 1, ((PB, 1),): 1}))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -68,6 +69,11 @@ def var(name, k=1, kind="q", side="middle"):
 
 def S(v, coeff=1):
     return GradedSeries.of(REG, TRUNC, v, coeff)
+
+
+def _letters(code):
+    """The slots of a packed monomial's letters, one per unit of exponent."""
+    return [s for s, e in algebra._runs(code) for _ in range(e)]
 
 
 class TestCountTable:
@@ -264,6 +270,62 @@ class TestWeights:
             table = CountTable("orbit", "a", entries, REG)
             potential = potential_from_counts(table, TRUNC)
             assert potential_to_counts(potential) == table
+
+    def test_odd_rows_read_back_with_the_sign_of_their_written_order(self):
+        # p+[b] sorts before q-[b], both odd: the q-first key monomial costs a sign
+        entries = {((("b", 1),), (("b", 1),)): Fraction(2, 3),
+                   ((("b", 2),), (("b", 2),)): Fraction(-5)}
+        table = CountTable("orbit", "b", entries, REG)
+        potential = potential_from_counts(table, TRUNC)
+        assert potential.series.render() == "-2/3*p+[b]*q-[b] + 5/4*p+[b^2]*q-[b^2]"
+        assert potential_to_counts(potential) == table
+        # an iterate whose p+ letter the kernel meets before its q- letter, so that the
+        # q-first order is not field order either
+        b, slot = REG.get("b"), algebra._slots(REG).slot
+        k = next(k for k in itertools.count(3)
+                 if slot(Variable(b.iterate(k), "q", "minus")) not in algebra._FIELDS)
+        GradedSeries.of(REG, TRUNC, Variable(b.iterate(k), "p", "plus"))
+        table = CountTable("orbit", "b", {((("b", k),), (("b", k),)): Fraction(3)}, REG)
+        assert potential_to_counts(potential_from_counts(table, TRUNC)) == table
+
+    def test_source_rows_are_not_checked_again(self, monkeypatch):
+        table = CountTable("orbit", "a", {((("a", 1), ("a", 1)), (("a", 2),)): Fraction(3),
+                                          ((("a", 1),), (("a", 1),)): Fraction(-2, 5)}, REG)
+        potential = potential_from_counts(table, TRUNC)
+        checked = []
+        validate = CountTable._validate
+
+        def spy(self, pos, neg):
+            checked.append((pos.key(), neg.key()))
+            return validate(self, pos, neg)
+
+        monkeypatch.setattr(CountTable, "_validate", spy)
+        back = potential_to_counts(potential)
+        assert back == table and back.hypothesis_ok == table.hypothesis_ok
+        assert checked == []
+
+    @pytest.mark.parametrize("key", [
+        ((("a", 2),), (("a", 1), ("a", 1))),  # admissible
+        ((("a", 1),), (("a", 2),)),  # the sides imply different degrees
+        ((("gm", 1),), (("gm", 1),)),  # ends off the cylinder's orbit
+    ], ids=["admissible", "degrees-differ", "other-orbit"])
+    def test_a_row_outside_the_source_is_checked_as_before(self, key):
+        source = CountTable("orbit", "a", {((("a", 1),), (("a", 1),)): Fraction(1)}, REG)
+        count = Fraction(7, 2)
+        term = GradedSeries(REG, TRUNC, {
+            potentials._key_monomial(*key, REG, "minus", "plus"): count * potentials._weight(*key)})
+        grown = Potential(potential_from_counts(source, TRUNC).series + term, source=source)
+
+        def outcome(call):
+            try:
+                table = call()
+            except InadmissibleKey as err:
+                return type(err), str(err)
+            return table.entries, table.hypothesis_ok
+
+        # the rows all checked by the constructor: the table the rebuild made before
+        want = outcome(lambda: CountTable("orbit", "a", {**source.entries, key: count}, REG))
+        assert outcome(lambda: potential_to_counts(grown)) == want
 
 
 class TestVanishingGate:
@@ -681,9 +743,9 @@ class TestCriticalValue:
         product = algebra._add_product
 
         def spy(terms, a, right, *args):
-            left_lengths.extend(map(len, a))
+            left_lengths.extend(len(_letters(m)) for m in a)
             out = product(terms, a, right, *args)
-            out_lengths.extend(map(len, out))
+            out_lengths.extend(len(_letters(m)) for m in out)
             return out
 
         monkeypatch.setattr(algebra, "_add_product", spy)
@@ -815,7 +877,8 @@ class TestTransformPotential:
 
         def kernel_spy(terms, images, *args):
             if not solving:  # the substitution of the composed value, not of the solve
-                composed[-1][3].extend(m for m in terms if not images.keys().isdisjoint(m))
+                composed[-1][3].extend(m for m in terms
+                                       if not images.keys().isdisjoint(_letters(m)))
             return kernel(terms, images, *args)
 
         monkeypatch.setattr(potentials, "identity_series", identity_spy)
@@ -830,9 +893,11 @@ class TestTransformPotential:
         for f_minus, f_plus, middle, substituted in composed:
             q_slots = {slot(Variable(it, "q", "middle")) for it in middle}
             p_slots = {slot(Variable(it, "p", "middle")) for it in middle}
-            critical = ([m for m in f_plus._terms if not q_slots.isdisjoint(m)]
-                        + [m for m in f_minus._terms if sum(s in p_slots for s in m) >= 2])
-            two_letter_rows += sum(sum(s in p_slots for s in m) >= 2 for m in f_minus._terms)
+            critical = ([m for m in f_plus._terms if not q_slots.isdisjoint(_letters(m))]
+                        + [m for m in f_minus._terms
+                           if sum(s in p_slots for s in _letters(m)) >= 2])
+            two_letter_rows += sum(sum(s in p_slots for s in _letters(m)) >= 2
+                                   for m in f_minus._terms)
             assert sorted(substituted) == sorted(critical)
         assert two_letter_rows
 
