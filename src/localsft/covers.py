@@ -16,11 +16,7 @@ translation quotient only for unconstrained cylinder covers; a marked
 point pinned to a special point already kills the translation.
 
 A ``CoverSpec`` validates once and caches its ramification and index;
-every number above is read from those two.  Marks change neither, so
-``boundary_strata`` keeps a per-call table of unmarked levels (base,
-degree, ends), splits and validates each level once and lets its marked
-nodes reuse the level's numbers: ramification, index, cokernel rank and
-node id prefix.
+every number above is read from those two.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -67,9 +63,9 @@ class BaseCurve:
         if self.closed and (len(self.positive_ends) or len(self.negative_ends)):
             raise InvalidCover(f"curve {self.name}: closed curves have no ends")
 
-    @property
+    @_cached
     def punctures(self) -> int:
-        return len(self.positive_ends) + len(self.negative_ends)
+        return len(self.positive_ends.items) + len(self.negative_ends.items)
 
     def ends(self, side: str) -> OrbitCollection:
         return self.positive_ends if side == "positive" else self.negative_ends
@@ -89,7 +85,7 @@ def cylinder_over(orbit: ReebOrbit) -> BaseCurve:
 
 
 def is_orbit_cylinder(base: BaseCurve) -> bool:
-    if base.closed or len(base.positive_ends) != 1 or len(base.negative_ends) != 1:
+    if base.closed or len(base.positive_ends.items) != 1 or len(base.negative_ends.items) != 1:
         return False
     up = base.positive_ends.items[0]
     down = base.negative_ends.items[0]
@@ -125,7 +121,7 @@ class CoverSpec:
 
     @property
     def punctures(self) -> int:
-        return len(self.positive_ends) + len(self.negative_ends)
+        return len(self.positive_ends.items) + len(self.negative_ends.items)
 
     def ends(self, side: str) -> OrbitCollection:
         return self.positive_ends if side == "positive" else self.negative_ends
@@ -140,16 +136,17 @@ class CoverSpec:
         """Fredholm index of a connected cover; validates the spec once."""
         validate_cover(self)
         return (self.punctures - 2 + self.degree * self.base.rel_c1_doubled
-                + sum(cz_iterate(it.orbit, it.k) for it in self.positive_ends)
-                - sum(cz_iterate(it.orbit, it.k) for it in self.negative_ends))
+                + self.positive_ends.cz_sum - self.negative_ends.cz_sum)
 
     def describe(self) -> str:
-        tag = f"M[{self.base.name},{self.degree}]"
-        if self.constrained_branch_points:
-            tag = f"M^{self.constrained_branch_points}[{self.base.name},{self.degree},{self.marked_points}]"
-        elif self.marked_points:
-            tag = f"M[{self.base.name},{self.degree},{self.marked_points}]"
-        return f"{tag}({self.positive_ends.render()}|{self.negative_ends.render()})"
+        return _describe(self.base.name, self.degree, self.marked_points,
+                         self.constrained_branch_points,
+                         f"{self.positive_ends.render()}|{self.negative_ends.render()}")
+
+
+def _describe(base: str, degree: int, marked: int, constrained: int, ends: str) -> str:
+    head = f"M^{constrained}" if constrained else "M"
+    return f"{head}[{base},{degree}{f',{marked}' if marked else ''}]({ends})"
 
 
 def validate_cover(spec: CoverSpec) -> None:
@@ -318,7 +315,9 @@ class StratumNode:
 
     ``empty`` marks descriptors whose branch-point constraints outnumber
     the available branch points, so the unperturbed space is empty even
-    though the descriptor appears in the stratification bookkeeping.
+    though the descriptor appears in the stratification bookkeeping.  A node
+    made by ``boundary_strata`` keeps its key in place of a spec: ``spec``
+    is built on first read, and ``describe`` renders from the node's level.
     """
 
     node_id: str
@@ -332,7 +331,15 @@ class StratumNode:
     empty: bool = False
 
     def describe(self) -> str:
-        return f"{self.spec.describe()} n={self.components} [{self.level}]"
+        made = self.__dict__.get("_made")  # the key of a node boundary_strata made
+        space = self.spec.describe() if made is None else made[0].describe(made[1])
+        return f"{space} n={self.components} [{self.level}]"
+
+
+# set after @dataclass, which would make it the default; a spec given to __init__ shadows it
+StratumNode.spec = _cached(lambda node: replace(
+    node._made[0].spec, marked_points=node._made[1][0], constrained_branch_points=node._made[1][1]))
+StratumNode.spec.__set_name__(StratumNode, "spec")
 
 
 @dataclass(frozen=True)
@@ -350,23 +357,18 @@ class StrataGraph:
     nodes: dict[str, StratumNode] = field(default_factory=dict)
     edges: list[StratumEdge] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        return not self.edges
-
     def node_list(self) -> list[StratumNode]:
         return [self.nodes[k] for k in self.nodes]
 
     def render_adjacency(self) -> str:
         lines = []
-        for node in self.node_list():
-            lines.append(f"node {node.node_id}")
-            lines.append(f"  space {node.describe()}")
-            lines.append(f"  index {node.index} virdim {node.virtual_dim}"
+        for node in self.nodes.values():
+            lines.append(f"node {node.node_id}\n  space {node.describe()}\n"
+                         f"  index {node.index} virdim {node.virtual_dim}"
                          + (f" dim {node.unperturbed_dim}" if node.unperturbed_dim is not None else "")
                          + (f" rank {node.obstruction_rank}" if node.obstruction_rank is not None else ""))
-        for edge in self.edges:
-            lines.append(f"edge {edge.parent} -> {edge.upper} | {edge.lower} "
-                         f"middle {edge.middle.render()} kind {edge.kind}")
+        lines += [f"edge {edge.parent} -> {edge.upper} | {edge.lower} "
+                  f"middle {edge.middle.render()} kind {edge.kind}" for edge in self.edges]
         return "\n".join(lines)
 
     def render_edge_lines(self) -> str:
@@ -405,140 +407,125 @@ def _marked_placements(r: int, c: int) -> list[tuple[tuple[int, int], tuple[int,
             for c_up in range(min(c, r_up) + 1) if c - c_up <= r - r_up]
 
 
-def _glue(upper: CoverSpec, lower: CoverSpec, middles: list[OrbitCollection],
-          tags: tuple[str, str], lower_first: bool = False):
-    """The unmarked levels of ``upper`` over ``lower``, glued along each middle.
+def _glue(upper: tuple, lower: tuple, middles: list[OrbitCollection], tags: tuple[str, str],
+          collection, lower_first: bool = False):
+    """The levels (base, degree, positive, negative) of ``upper`` over ``lower``, per middle.
 
-    Each middle profile is appended to the negative ends of ``upper`` and the
-    positive ends of ``lower``.  Yields the ``(level, tag)`` pairs, ``lower``
-    first when ``lower_first``, then the middle and ``lower_first``;
-    ``boundary_strata`` runs placements and component counts upward on the
-    first level, which fixes the edge order.
+    Each middle joins the negative ends of ``upper`` and the positive ends of
+    ``lower``, which hold no iterate over its orbit, as ``collection(ends,
+    middle, sign)``.  Yields the levels and tags, ``lower`` first when
+    ``lower_first`` (placements and component counts run upward on the first
+    level, which fixes the edge order), then the middle and ``lower_first``.
     """
+    (u_base, u_degree, u_pos, u_neg), (l_base, l_degree, l_pos, l_neg) = upper, lower
     for middle in middles:
-        glued = [(CoverSpec(upper.base, upper.degree, upper.positive_ends, OrbitCollection(
-                      upper.negative_ends.items + middle.items, sign="negative")), tags[0]),
-                 (CoverSpec(lower.base, lower.degree, OrbitCollection(
-                      lower.positive_ends.items + middle.items, sign="positive"),
-                      lower.negative_ends), tags[1])]
+        glued = [((u_base, u_degree, u_pos, collection(u_neg, middle, "negative")), tags[0]),
+                 ((l_base, l_degree, collection(l_pos, middle, "positive"), l_neg), tags[1])]
         yield (*(glued[::-1] if lower_first else glued), middle, lower_first)
 
 
-def _splittings(spec: CoverSpec, neck: NeckSplit | None, profiles):
-    """Two-level splittings of ``spec``, as ``_glue`` yields them.
+def _splittings(level: _Level, neck: NeckSplit | None, profiles, collection):
+    """Two-level splittings of ``level``, as ``_glue`` yields them.
 
     A cover of an orbit cylinder splits into two cylinder levels, a cover of
     another punctured base splits off one cylinder level over one orbit of
-    one side, and a cover of a closed curve splits along the neck.  The
-    middles over one orbit are ``profiles(orbit, total)``, one call's memo
-    of ``end_profiles``.
-
-    Along a neck of m orbits the two sides of any degree-d split have
-    2d(2 - m) - 2 branch points in all, so only a one-orbit neck splits;
-    each neck orbit's profiles are still built, so one out of range raises.
+    one side, and a cover of a closed curve splits along the neck, with the
+    middles ``profiles(orbit, total)``.  Along a neck of m orbits the sides
+    of a degree-d split have 2d(2 - m) - 2 branch points in all, so only a
+    one-orbit neck splits; each neck orbit's profiles are still built, so
+    one out of range raises.
     """
-    if spec.base.closed:
-        middles = [profiles(orbit, spec.degree)
-                   for orbit in sorted(neck.orbits, key=lambda o: o.name)]
+    base, degree, empty = level.base, level.degree, EMPTY_COLLECTION
+    if base.closed:
+        middles = [profiles(orbit, degree) for orbit in sorted(neck.orbits, key=lambda o: o.name)]
         if len(middles) == 1:
-            yield from _glue(CoverSpec(neck.side_plus, spec.degree),
-                             CoverSpec(neck.side_minus, spec.degree), middles[0],
-                             (MIDDLE, MIDDLE))
-    elif is_orbit_cylinder(spec.base):
-        orbit = spec.base.positive_ends.items[0].orbit
-        yield from _glue(CoverSpec(spec.base, spec.degree, spec.positive_ends),
-                         CoverSpec(spec.base, spec.degree, negative_ends=spec.negative_ends),
-                         profiles(orbit, spec.degree), (TOP_CYLINDER, BOTTOM_CYLINDER))
+            sides = (degree, empty, empty)
+            yield from _glue((neck.side_plus, *sides), (neck.side_minus, *sides), middles[0],
+                             (MIDDLE, MIDDLE), collection)
+    elif level.cylinder:
+        yield from _glue((base, degree, level.positive, empty),
+                         (base, degree, empty, level.negative),
+                         profiles(base.positive_ends.items[0].orbit, degree),
+                         (TOP_CYLINDER, BOTTOM_CYLINDER), collection)
     else:
-        for side in ("positive", "negative"):
-            ends = spec.ends(side)
+        for side, ends in (("positive", level.positive), ("negative", level.negative)):
             # the simple orbits of this side, in name order
-            for orbit in {it.orbit.name: it.orbit for it in spec.base.ends(side)}.values():
-                active = tuple(it for it in ends if it.orbit.name == orbit.name)
+            for orbit in {it.orbit.name: it.orbit for it in base.ends(side)}.values():
+                active = OrbitCollection(tuple(it for it in ends if it.orbit.name == orbit.name),
+                                         sign=side)
                 rest = OrbitCollection(tuple(it for it in ends if it.orbit.name != orbit.name),
                                        sign=side)
-                cyl = CoverSpec(cylinder_over(orbit), sum(it.k for it in active),
-                                **{f"{side}_ends": OrbitCollection(active, sign=side)})
-                middles = profiles(orbit, cyl.degree)
+                cyl = cylinder_over(orbit), active.total_multiplicity()
                 if side == "positive":
-                    main = CoverSpec(spec.base, spec.degree, rest, spec.negative_ends)
-                    yield from _glue(cyl, main, middles, (TOP_CYLINDER, MIDDLE))
+                    yield from _glue((*cyl, active, empty), (base, degree, rest, level.negative),
+                                     profiles(orbit, cyl[1]), (TOP_CYLINDER, MIDDLE), collection)
                 else:
-                    main = CoverSpec(spec.base, spec.degree, spec.positive_ends, rest)
-                    yield from _glue(main, cyl, middles, (MIDDLE, BOTTOM_CYLINDER),
-                                     lower_first=True)
+                    yield from _glue((base, degree, level.positive, rest), (*cyl, empty, active),
+                                     profiles(orbit, cyl[1]), (MIDDLE, BOTTOM_CYLINDER),
+                                     collection, lower_first=True)
 
 
 class _Level:
     """An unmarked level (base, degree, ends) of one ``boundary_strata`` call.
 
-    It holds what marks do not change: the first spec seen (only the
-    root's has marks), the component bound (no count within it leaves a
-    negative number of branch points), the component count at which
-    it is a union of trivial cylinders (or 0), whether its base is an orbit
-    cylinder, the ``base:dN:(pos)/(neg)`` prefix of its node ids and its
-    cokernel rank, read on its first connected node.
+    ``trivial`` is the component count at which it is a union of trivial
+    cylinders, or 0.  Its spec, validated there, id prefix and cokernel
+    rank are read on its first node.
     """
 
-    def __init__(self, key: tuple, spec: CoverSpec):
-        self.key = key  # (base name, degree, positive ends key, negative ends key)
-        self.spec = spec
-        # each component surjects onto the base near every puncture, and each
-        # one past the first takes two branch points
-        self.bound = min(spec.degree, spec.ramification // 2 + 1, *(
-            spec.ends(side).end_counts.get(name, 0) // base_n
-            for side in ("positive", "negative")
-            for name, base_n in spec.base.ends(side).end_counts.items()))
-        self.cylinder = is_orbit_cylinder(spec.base)
-        self.trivial = len(key[2]) if self.cylinder and key[2] == key[3] else 0
-        self.prefix = (f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
-                       f"/{spec.negative_ends.render()}")
+    def __init__(self, base: BaseCurve, degree: int, positive: OrbitCollection,
+                 negative: OrbitCollection):
+        self.base, self.degree, self.positive, self.negative = base, degree, positive, negative
+        self.ramification = degree * (2 - base.punctures) - 2 + len(positive) + len(negative)
+        # each component covers every puncture; each past the first takes two branch points
+        self.bound = min(degree, self.ramification // 2 + 1, *(
+            ends.end_counts.get(name, 0) // n
+            for ends, base_ends in ((positive, base.positive_ends), (negative, base.negative_ends))
+            for name, n in base_ends.end_counts.items()))
+        self.cylinder = is_orbit_cylinder(base)
+        self.trivial = len(positive) if self.cylinder and positive.key() == negative.key() else 0
+        self.described: dict[tuple[int, int], str] = {}
+
+    @_cached
+    def spec(self) -> CoverSpec:
+        return CoverSpec(self.base, self.degree, self.positive, self.negative)
+
+    @_cached
+    def prefix(self) -> str:
+        return f"{self.base.name}:d{self.degree}:{self.positive.render()}/{self.negative.render()}"
 
     @_cached
     def rank(self) -> int | None:
-        """Cokernel rank of a connected cover of this level, or None off its hypotheses."""
         return obstruction_rank(self.spec)
 
+    def describe(self, marks: tuple[int, int]) -> str:
+        if marks not in self.described:  # many nodes of a level share their marks
+            self.described[marks] = _describe(self.base.name, self.degree, *marks,
+                                              f"{self.positive.render()}|{self.negative.render()}")
+        return self.described[marks]
 
-def _make_node(level: _Level, marks: tuple[int, int], components: int,
-               tag: str) -> StratumNode:
-    """Annotated stratum node; ``components`` is within the level's bound.
 
-    Marks change neither the ramification, the index nor the cokernel rank,
-    so the node reads them from its unmarked ``level``, whose spec is
-    validated on its first node; the node's spec takes ``marks`` with the
-    level's cached numbers and is not validated again.
+def _make_node(key: tuple) -> StratumNode:
+    """The node of ``key`` (level, marks, components, tag), annotated from its level.
+
+    Marks change neither the ramification, the index nor the cokernel rank.
     """
-    spec = level.spec
-    z = spec.ramification - 2 * (components - 1)
-    index = spec.index  # validates the level on its first node
-    if marks != (spec.marked_points, spec.constrained_branch_points):
-        spec = CoverSpec(spec.base, spec.degree, spec.positive_ends, spec.negative_ends, *marks)
-        spec.__dict__.update(ramification=level.spec.ramification, index=index)
-    unperturbed = None
-    rank = None
-    empty = False
-    if spec.base.immersed:
-        unperturbed = spec.base.index + 2 * z - 2 * marks[1]
-        if unperturbed < 0:
-            # branch-point constraint cannot be met; keep the descriptor
-            empty = True
-            unperturbed = None
-        elif components == 1:
-            rank = level.rank
-    index -= 2 * (components - 1)
-    return StratumNode(
+    level, marks, components, tag = key
+    index = level.spec.index - 2 * (components - 1)  # the level validates on its first node
+    # the unperturbed dimension: each component past the first takes two branch points
+    dim = (level.base.index + 2 * level.ramification - 4 * (components - 1) - 2 * marks[1]
+           if level.base.immersed else None)
+    empty = dim is not None and dim < 0  # the branch-point constraint cannot be met
+    # __init__ of a frozen dataclass sets each field through object.__setattr__
+    node = object.__new__(StratumNode)
+    node.__dict__.update(
         node_id=f"{level.prefix}:r{marks[0]}c{marks[1]}:n{components}:{tag}",
-        spec=spec,
-        components=components,
-        level=tag,
-        index=index,
+        components=components, level=tag, index=index,
         # the translation quotient of an unmarked cylinder cover, as in virtual_dimension
         virtual_dim=index - 2 * marks[1] - (1 if level.cylinder and not marks[0] else 0),
-        unperturbed_dim=unperturbed,
-        obstruction_rank=rank,
-        empty=empty,
-    )
+        unperturbed_dim=None if empty else dim, empty=empty, _made=key,
+        obstruction_rank=level.rank if dim is not None and not empty and components == 1 else None)
+    return node
 
 
 def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
@@ -550,78 +537,86 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     curves with a declared neck) count as one step and are tagged "neck";
     ordinary two-level splittings are tagged "sft".
 
-    One call keeps a table of unmarked levels (base name, degree, ends).
-    A level is split once, whatever the marks of the nodes split over it,
-    and holds the numbers its nodes share: the id prefix, the
-    orbit-cylinder flag and the cokernel rank.  Its spec is validated on
-    its first node, so glued levels without nodes are never validated.
-    The middle profiles over one orbit with one total multiplicity are
-    built once.  Marks ride beside the levels; a node, keyed by its level,
-    marks, components and tag, is annotated once.
+    Within one call an unmarked level (base, degree, ends) is found by its
+    key, a merge of key tuples, and split once.  Its numbers come from its
+    end counts; it builds and validates its spec on its first node (levels
+    without nodes are never validated), and its nodes share its index, id
+    prefix, cylinder flag and cokernel rank.  Middle profiles, end
+    collections and nodes are built once per call, a node's spec when first
+    read, and nothing outlives the call.  A level of ramification R has at
+    most R // 2 + 1 components (each covers every puncture, each past the
+    first takes two branch points): no node has negative branch points.
     """
     levels: dict[tuple, _Level] = {}
     # each level's splittings, kept off the levels: a level can split into itself,
     # and holding its own splittings it would be a reference cycle
-    split_table: dict[tuple, list[tuple]] = {}
+    split_table: dict[_Level, list[tuple]] = {}
     nodes: dict[tuple, StratumNode] = {}
+    collections: dict[tuple, OrbitCollection] = {}
     middles = functools.cache(end_profiles)  # this call's only: freed on return
 
-    def level(level_spec: CoverSpec) -> _Level:
-        key = (level_spec.base.name, level_spec.degree, level_spec.positive_ends.key(),
-               level_spec.negative_ends.key())
-        if key not in levels:
-            levels[key] = _Level(key, level_spec)
-        return levels[key]
+    def collection(ends: OrbitCollection, middle: OrbitCollection, sign: str) -> OrbitCollection:
+        key = (tuple(sorted(ends.key() + middle.key())) if ends.items else middle.key(), sign)
+        return collections.get(key) or collections.setdefault(  # glued ends are never empty
+            key, OrbitCollection(ends.items + middle.items, sign=sign))
+
+    def level(base: BaseCurve, degree: int, positive: OrbitCollection,
+              negative: OrbitCollection) -> _Level:
+        key = (base.name, degree, positive.key(), negative.key())
+        return levels.get(key) or levels.setdefault(
+            key, _Level(base, degree, positive, negative))
 
     def splits(lvl: _Level) -> list[tuple]:
-        if lvl.key not in split_table:
-            split_table[lvl.key] = [
-                (level(first), first_tag, level(second), second_tag, middle, lower_first)
-                for (first, first_tag), (second, second_tag), middle, lower_first
-                in _splittings(lvl.spec, neck, middles)]
-        return split_table[lvl.key]
-
-    def node(lvl: _Level, marks: tuple[int, int], components: int,
-             tag: str) -> StratumNode:
-        key = (lvl.key, marks, components, tag)
-        if key not in nodes:
-            nodes[key] = _make_node(lvl, marks, components, tag)
-        return nodes[key]
+        if lvl not in split_table:
+            split_table[lvl] = []
+            for (first, first_tag), (second, second_tag), middle, lower_first in _splittings(
+                    lvl, neck, middles, collection):
+                first, second = level(*first), level(*second)
+                # genus zero: the component counts sum to one more than the middle
+                total = len(middle.items) + 1
+                counts = range(max(1, total - second.bound), min(first.bound, total - 1) + 1)
+                split_table[lvl].append((first, first_tag, second, second_tag, middle, total,
+                                         counts, lower_first))
+        return split_table[lvl]
 
     spec.index  # validates the root once
-    root_level = level(spec)
-    root = node(root_level, (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
+    root_level = level(spec.base, spec.degree, spec.positive_ends, spec.negative_ends)
+    root_level.spec = spec  # the root's own, marks and all
+    # a node is keyed by (level, marks, components, tag) and made once
+    key = (root_level, (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
+    root = nodes[key] = _make_node(key)
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
-    queue: list[tuple[StratumNode, _Level, int]] = [(root, root_level, 0)]
-    for parent, parent_level, codim in queue:
-        if codim >= max_codim or parent.components != 1:
-            continue
-        closed = parent.spec.base.closed
-        if closed and (neck is None or codim):
+    queue, nodes_by_id, edges, new = [(key, 0)], graph.nodes, graph.edges, object.__new__
+    for parent_key, codim in queue:
+        parent_level, parent_marks, components, _ = parent_key
+        closed = parent_level.base.closed
+        if codim >= max_codim or components != 1 or (closed and (neck is None or codim)):
             continue
         kind = "neck" if closed else "sft"
-        placements = _marked_placements(parent.spec.marked_points,
-                                        parent.spec.constrained_branch_points)
-        for first, first_tag, second, second_tag, middle, lower_first in splits(parent_level):
-            # genus zero: the component counts sum to one more than the middle
-            total = len(middle) + 1
+        parent_id = nodes[parent_key].node_id
+        placements = _marked_placements(*parent_marks)
+        for (first, first_tag, second, second_tag, middle, total, counts,
+             lower_first) in splits(parent_level):
             for marks_first, marks_second in placements:
-                for n_first in range(1, first.bound + 1):
-                    n_second = total - n_first
-                    if not 1 <= n_second <= second.bound:
+                # unmarked trivial cylinders are no splitting (0 and total are never counts)
+                skip_first = first.trivial if marks_first == (0, 0) else 0
+                skip_second = total - second.trivial if marks_second == (0, 0) else 0
+                for n_first in counts:
+                    if n_first == skip_first or n_first == skip_second:
                         continue
-                    if ((n_first == first.trivial and marks_first == (0, 0))
-                            or (n_second == second.trivial and marks_second == (0, 0))):
-                        continue  # a level of unmarked trivial cylinders is no splitting
-                    a = node(first, marks_first, n_first, first_tag)
-                    b = node(second, marks_second, n_second, second_tag)
-                    children = ((b, second), (a, first)) if lower_first else ((a, first), (b, second))
-                    for child, child_level in children:
-                        if child.node_id not in graph.nodes:
-                            graph.nodes[child.node_id] = child
-                            queue.append((child, child_level, codim + 1))
-                    graph.edges.append(StratumEdge(parent.node_id, children[0][0].node_id,
-                                                   children[1][0].node_id, middle, kind))
+                    key_a = (first, marks_first, n_first, first_tag)
+                    a = nodes.get(key_a) or nodes.setdefault(key_a, _make_node(key_a))
+                    key_b = (second, marks_second, total - n_first, second_tag)
+                    b = nodes.get(key_b) or nodes.setdefault(key_b, _make_node(key_b))
+                    children = ((b, key_b), (a, key_a)) if lower_first else ((a, key_a), (b, key_b))
+                    for child, child_key in children:
+                        if child.node_id not in nodes_by_id:
+                            nodes_by_id[child.node_id] = child
+                            queue.append((child_key, codim + 1))
+                    edge = new(StratumEdge)  # a frozen dataclass, filled as in _make_node
+                    edge.__dict__.update(parent=parent_id, upper=children[0][0].node_id,
+                                         lower=children[1][0].node_id, middle=middle, kind=kind)
+                    edges.append(edge)
     return graph
 
 

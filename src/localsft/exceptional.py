@@ -482,7 +482,7 @@ def cylinder_point_strata(orbit: ReebOrbit) -> tuple[StrataGraph, list]:
     graph = boundary_strata(_constrained_cylinder_root(orbit), max_codim=2)
     family = {}
     for node in graph.node_list():
-        if (is_orbit_cylinder(node.spec.base) and node.components == 1
+        if (node.components == 1 and is_orbit_cylinder(node.spec.base)
                 and node.spec.constrained_branch_points == 1):
             key = (node.spec.positive_ends.key(), node.spec.negative_ends.key())
             family.setdefault(key, node)

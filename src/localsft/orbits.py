@@ -148,8 +148,8 @@ class OrbitCollection:
 
     Canonical at construction: ``items`` is sorted by (orbit name, k), so
     collections that differ only in order compare, hash and render equal.
-    The key is built with that sort; the rendering and the per-orbit totals
-    are computed once, on first use.
+    The key is built with that sort; the rendering, the per-orbit totals and
+    the index sum are computed once, on first use.
     """
 
     items: tuple[OrbitIterate, ...] = ()
@@ -171,6 +171,11 @@ class OrbitCollection:
     def end_counts(self) -> dict[str, int]:
         """Orbit name -> number of its iterates (cached: do not mutate)."""
         return {name: len(list(pairs)) for name, pairs in groupby(self._key, _NAME)}
+
+    @_cached
+    def cz_sum(self) -> int:
+        """Sum of the Conley-Zehnder indices of the members."""
+        return sum(cz_iterate(it.orbit, it.k) for it in self.items)
 
     @_cached
     def _render(self) -> str:

@@ -252,7 +252,7 @@ class TestBoundaryStrata:
         g = elliptic()
         spec = CoverSpec(cylinder_over(g), 1, coll(g.iterate(1)),
                          coll(g.iterate(1), sign="negative"))
-        assert boundary_strata(spec).is_empty()
+        assert not boundary_strata(spec).edges
 
     def test_constrained_hyperbolic_family(self):
         h = hyperbolic()
@@ -743,9 +743,9 @@ def test_strata_split_each_unmarked_level_at_most_once(monkeypatch, cover, neck)
     split = doc.necks[neck].split() if neck else None
     levels, profiles = [], []
     splittings, end_profiles = covers._splittings, covers.end_profiles
-    monkeypatch.setattr(covers, "_splittings", lambda spec, *args: levels.append(
-        (spec.base.name, spec.degree, spec.positive_ends.key(), spec.negative_ends.key()))
-        or splittings(spec, *args))
+    monkeypatch.setattr(covers, "_splittings", lambda level, *args: levels.append(
+        (level.base.name, level.degree, level.positive.key(), level.negative.key()))
+        or splittings(level, *args))
     monkeypatch.setattr(covers, "end_profiles", lambda orbit, total: profiles.append(
         (orbit.name, total)) or end_profiles(orbit, total))
     for _ in range(2):  # nothing is kept across calls: the second splits again
@@ -821,7 +821,7 @@ def test_multi_orbit_neck_splits_match_brute_force(m, degree):
             spec = CoverSpec(sphere(), degree, marked_points=marked,
                              constrained_branch_points=constrained)
             assert _codim_one_by_brute_force(spec, neck) == set()
-            assert boundary_strata(spec, neck=neck, max_codim=2).is_empty()
+            assert not boundary_strata(spec, neck=neck, max_codim=2).edges
 
 
 def test_multi_orbit_neck_builds_each_orbit_profiles_once_and_glues_nothing(monkeypatch):
@@ -840,7 +840,7 @@ def test_multi_orbit_neck_builds_each_orbit_profiles_once_and_glues_nothing(monk
         (orbit.name, total)) or end_profiles(orbit, total))
     monkeypatch.setattr(covers, "_glue", spy_glue)
     # degree 12: 77 profiles per orbit, 77^3 middles if any were glued
-    assert boundary_strata(CoverSpec(sphere(), 12), neck=neck).is_empty()
+    assert not boundary_strata(CoverSpec(sphere(), 12), neck=neck).edges
     assert profiles == [("a", 12), ("b", 12), ("c", 12)]
     assert glued == []
 
@@ -859,10 +859,94 @@ def test_strata_make_only_nodes_with_branch_points(case):
     left = []
     make_node = covers._make_node
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covers, "_make_node", lambda level, marks, n, tag: left.append(
-            level.spec.ramification - 2 * (n - 1)) or make_node(level, marks, n, tag))
+        mp.setattr(covers, "_make_node", lambda key: left.append(
+            key[0].ramification - 2 * (key[2] - 1)) or make_node(key))
         boundary_strata(spec, neck=neck, max_codim=2)
     assert left and min(left) >= 0
+
+
+# -- levels by their numbers, and specs built where they are read -------------------
+
+
+def _level_by_spec(spec):
+    """A level's key, ramification, bound, trivial count and id prefix, read off ``spec``.
+
+    The level logic of the object-building strata, kept as the slow oracle:
+    every number is read from a fully built spec and its collections.
+    """
+    bound = min(spec.degree, spec.ramification // 2 + 1, *(
+        spec.ends(side).end_counts.get(name, 0) // base_n
+        for side in ("positive", "negative")
+        for name, base_n in spec.base.ends(side).end_counts.items()))
+    key = (spec.base.name, spec.degree, spec.positive_ends.key(), spec.negative_ends.key())
+    trivial = len(key[2]) if is_orbit_cylinder(spec.base) and key[2] == key[3] else 0
+    return (key, spec.ramification, bound, trivial,
+            f"{spec.base.name}:d{spec.degree}:{spec.positive_ends.render()}"
+            f"/{spec.negative_ends.render()}")
+
+
+def _fresh_spec(level, marks=(0, 0)):
+    """The cover of ``level`` with ``marks``, built from scratch: no collection is shared."""
+    return CoverSpec(level.base, level.degree, coll(*level.positive),
+                     coll(*level.negative, sign="negative"), *marks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strata_cases())
+def test_level_numbers_match_a_fully_built_spec(case):
+    spec, neck = case
+    reached, glued = [], []
+    glue = covers._glue
+
+    class Recorded(covers._Level):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reached.append(self)
+
+    def spy_glue(upper, lower, *args, **kwargs):
+        for item in glue(upper, lower, *args, **kwargs):
+            glued.append((upper, lower, item))
+            yield item
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "_Level", Recorded)
+        mp.setattr(covers, "_glue", spy_glue)
+        boundary_strata(spec, neck=neck, max_codim=2)
+    assert reached
+    for level in reached:
+        key = (level.base.name, level.degree, level.positive.key(), level.negative.key())
+        assert (key, level.ramification, level.bound, level.trivial, level.prefix) == \
+            _level_by_spec(_fresh_spec(level))
+    # each glued level keeps its fixed ends and joins the middle on the glued side
+    for upper, lower, ((first, _), (second, _), middle, lower_first) in glued:
+        up, low = (second, first) if lower_first else (first, second)
+        assert up[:3] == upper[:3] and low[:2] + low[3:] == lower[:2] + lower[3:]
+        assert up[3].key() == coll(*upper[3], *middle, sign="negative").key()
+        assert low[2].key() == coll(*lower[2], *middle).key()
+
+
+@settings(max_examples=60, deadline=None)
+@given(strata_cases())
+def test_strata_validate_exactly_the_levels_with_nodes_and_build_specs_when_read(case):
+    spec, neck = case
+    validated = []
+    validate = covers.validate_cover
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covers, "validate_cover", lambda s: validated.append(
+            (s.base.name, s.degree, s.positive_ends.key(), s.negative_ends.key())) or validate(s))
+        graph = boundary_strata(spec, neck=neck, max_codim=2)
+    assert len(validated) == len(set(validated))
+    made = [node._made for node in graph.node_list()]
+    assert set(validated) == {(level.base.name, level.degree, level.positive.key(),
+                               level.negative.key()) for level, _, _, _ in made}
+    for node, (level, marks, _, _) in zip(graph.node_list(), made):
+        assert "spec" not in node.__dict__  # neither made nor rendered builds it
+        assert node.describe() == f"{_fresh_spec(level, marks).describe()} n={node.components} " \
+                                  f"[{node.level}]"
+        fresh = _fresh_spec(level, marks)
+        assert node.spec == CoverSpec(level.base, level.degree, level.positive, level.negative,
+                                      *marks)
+        assert (node.spec.index, node.spec.ramification) == (fresh.index, fresh.ramification)
 
 
 def _plus_with_positive_end(g, h):
