@@ -1,8 +1,9 @@
 """Plain-text configuration documents.
 
 One document declares orbits, base curves, cover specs, count tables and
-neck configurations, all cross-referenced by name.  Rationals are written
-``a/b``.  The renderer is canonical (fixed key order, sorted names), so
+neck configurations, all cross-referenced by name.  Rationals are read
+exactly, as ``Fraction`` reads them: ``-3``, ``3/10``, ``0.25``, ``1e3``.
+The renderer is canonical (fixed key order, sorted names), so
 ``parse -> render -> parse`` is a fixpoint and rendered documents are
 byte-stable.
 
@@ -37,7 +38,6 @@ column: the 1-based column of the token's first character.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Container
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +45,7 @@ from fractions import Fraction
 from .covers import BaseCurve, CoverSpec, cylinder_over
 from .errors import ConfigError, IterateOutOfRange, LocalSFTError
 from .exceptional import NeckConfiguration
-from .orbits import OrbitCollection, OrbitRegistry, ReebOrbit
+from .orbits import OrbitCollection, OrbitIterate, OrbitRegistry, ReebOrbit
 from .potentials import CountTable, _render_key
 
 DEFAULT_TRUNCATION = 8
@@ -83,7 +83,11 @@ def _at(line: int, col: int | None, resolve, *args):
 
 
 def _parse_fraction(text: str, line: int, col: int) -> Fraction:
-    try:
+    num, slash, den = text.partition("/")
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+    try:  # [+-]digits[/digits] in ASCII digits, read by int as Fraction reads them
+        if (unsigned + den).isascii() and unsigned.isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected a rational number, got {text!r}", line, col)
@@ -115,38 +119,40 @@ def _parse_name_list(text: str, line: int, col: int) -> list[str]:
 
 def _parse_collection(text: str, lines: _Lines, registry: OrbitRegistry, sign: str,
                       line: int, col: int) -> OrbitCollection:
-    """The collection written ``text``, parsed once per document."""
+    """The collection written ``text``, parsed once per document, each atom resolved once."""
     coll = lines.collections.get((text, sign))
     if coll is None:
         items = []
         for atom in _parse_name_list(text, line, col):
-            name, caret, power = atom.partition("^")
-            k = _parse_int(power, line, col) if caret else 1
-            orbit = _at(line, col, registry.get, name)
-            items.append(_at(line, col, orbit.iterate, k))
+            item = lines.atoms.get(atom)
+            if item is None:  # an atom that raises is never stored, so it raises again
+                name, caret, power = atom.partition("^")
+                k = _parse_int(power, line, col) if caret else 1
+                orbit = _at(line, col, registry.get, name)
+                item = lines.atoms[atom] = _at(line, col, orbit.iterate, k)
+            items.append(item)
         coll = lines.collections[text, sign] = OrbitCollection(tuple(items), sign=sign)
     return coll
 
 
-_TOKEN = re.compile(r"\S+")
-
-
 class _Lines:
     def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
+        self.numbered = enumerate(text.splitlines(), 1)
         # parsed collections by (text, sign): a document repeats them (every row of a
         # curve table can share one empty side), a parsed collection is immutable, and
         # orbit names only ever gain meanings as the document goes on
         self.collections: dict[tuple[str, str], OrbitCollection] = {}
+        # resolved atoms by text, for the same reasons: ``e0^2`` recurs in many collections
+        self.atoms: dict[str, OrbitIterate] = {}
 
     def next_content(self) -> tuple[int, list[tuple[str, int]]] | None:
         """The number and the tokens of the next line that has any, comments cut."""
-        while self.pos < len(self.raw):
-            lineno = self.pos + 1
-            line = self.raw[self.pos].split("#", 1)[0]
-            self.pos += 1
-            tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        for lineno, line in self.numbered:
+            line, tokens, col = line.partition("#")[0], [], 0
+            for token in line.split():  # found from the previous token's end: its own column
+                col = line.index(token, col)
+                tokens.append((token, col + 1))
+                col += len(token)
             if tokens:
                 return lineno, tokens
         return None
@@ -214,10 +220,8 @@ def _take(kv: dict[str, tuple[str, int]], key: str, parse, default, lineno: int)
 
 def _take_collection(kv: dict[str, tuple[str, int]], key: str, lines: _Lines,
                      registry: OrbitRegistry, sign: str, lineno: int) -> OrbitCollection:
-    item = kv.pop(key, None)
-    if item is None:
-        return OrbitCollection((), sign=sign)
-    return _parse_collection(item[0], lines, registry, sign, lineno, item[1])
+    text, col = kv.pop(key, ("()", None))
+    return _parse_collection(text, lines, registry, sign, lineno, col)
 
 
 def _reject_unknown_keys(kv: dict[str, tuple[str, int]], what: str, lineno: int) -> None:
@@ -232,10 +236,8 @@ def _parse_orbit(doc: ConfigDocument, tokens, lineno, lines):
         raise ConfigError("orbit statement needs a kind (elliptic/hyperbolic)", lineno, 1)
     kind = tokens[2][0]
     kv = _split_kv(tokens[3:], lineno)
-    theta = kv.pop("theta", None)
-    cz1 = kv.pop("cz1", None)
-    max_iterate = kv.pop("max_iterate", None)
-    morse = kv.pop("morse", None)
+    theta, cz1, max_iterate, morse = (kv.pop(key, None)
+                                      for key in ("theta", "cz1", "max_iterate", "morse"))
     _reject_unknown_keys(kv, "orbit", lineno)
     doc.registry.add(_at(
         lineno, None, ReebOrbit, name, kind,
@@ -284,8 +286,7 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
 def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
     name = _statement_name(tokens, lineno, "table", doc.tables)
     kv = _split_kv(tokens[2:], lineno)
-    orbit_item = kv.pop("orbit", None)
-    curve_item = kv.pop("curve", None)
+    orbit_item, curve_item = kv.pop("orbit", None), kv.pop("curve", None)
     _reject_unknown_keys(kv, "table", lineno)
     if (orbit_item is None) == (curve_item is None):
         raise ConfigError("table statement needs exactly one of orbit=.../curve=...", lineno)
@@ -322,10 +323,8 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
 def _parse_neck(doc: ConfigDocument, tokens, lineno, lines):
     name = _statement_name(tokens, lineno, "neck", doc.necks)
     kv = _split_kv(tokens[2:], lineno)
-    orbits_item = kv.pop("orbits", None)
-    plus_item = kv.pop("plus", None)
-    minus_item = kv.pop("minus", None)
-    sep_item = kv.pop("separating", None)
+    orbits_item, plus_item, minus_item, sep_item = (
+        kv.pop(key, None) for key in ("orbits", "plus", "minus", "separating"))
     _reject_unknown_keys(kv, "neck", lineno)
     if orbits_item is None or plus_item is None or minus_item is None:
         raise ConfigError("neck statement needs orbits=, plus= and minus=", lineno)

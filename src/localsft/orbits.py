@@ -165,7 +165,10 @@ class OrbitCollection:
     @_cached
     def multiplicities(self) -> dict[str, int]:
         """Orbit name -> total multiplicity of its iterates (cached: do not mutate)."""
-        return {name: sum(k for _, k in pairs) for name, pairs in groupby(self._key, _NAME)}
+        totals: dict[str, int] = {}
+        for name, k in self._key:
+            totals[name] = totals.get(name, 0) + k
+        return totals
 
     @_cached
     def end_counts(self) -> dict[str, int]:
@@ -174,8 +177,21 @@ class OrbitCollection:
 
     @_cached
     def cz_sum(self) -> int:
-        """Sum of the Conley-Zehnder indices of the members."""
-        return sum(cz_iterate(it.orbit, it.k) for it in self.items)
+        """Sum of the Conley-Zehnder indices of the members, as ``cz_iterate`` gives them."""
+        return sum([it.orbit.cz_table[it.k - 1] if it.orbit.cz1 is None else it.k * it.orbit.cz1
+                    for it in self.items])  # each member checked its bound when it was made
+
+    @_cached
+    def nonvanishing(self) -> bool:
+        """Whether the product of the members' variables is nonzero: each member is good
+        and none of even index repeats (``cz1`` is None for an elliptic orbit, of odd index)."""
+        previous = None
+        for it, key in zip(self.items, self._key):
+            cz1 = it.orbit.cz1
+            if cz1 is not None and (it.k % 2 == 0 if cz1 % 2 else key == previous):
+                return False
+            previous = key
+        return True
 
     @_cached
     def _render(self) -> str:

@@ -59,7 +59,7 @@ from .algebra import (
     reside,
     substitute,
 )
-from .covers import BaseCurve, CoverSpec, cylinder_over, obstruction_rank
+from .covers import BaseCurve, CoverSpec, cylinder_over, is_orbit_cylinder, obstruction_rank
 from .errors import (
     InadmissibleKey,
     InconsistentProfile,
@@ -89,9 +89,11 @@ def _render_key(key: CollectionKey) -> str:
 class CountTable:
     """Exact rational counts of perturbed cover spaces, keyed by asymptotics.
 
-    Keys are canonicalized to unordered multisets.  Each row is validated
+    Keys are canonicalized to unordered multisets.  Each row is checked
     once, on its pair of collections: the constructor builds them from its
     keys, and the config parser hands ``_add`` the collections it parsed.
+    The check is arithmetic on the base's numbers, taken once per table; a
+    row it does not admit goes through ``_validate``, which raises.
     Entries whose implied cover fails the obstruction-bundle rank
     hypotheses are flagged rather than rejected.
     """
@@ -110,6 +112,11 @@ class CountTable:
         elif base is None:
             raise InvalidTable("curve tables need the base curve")
         self.base = base
+        # the base's numbers for every row; a row that covers its profiles ends on its orbits
+        self._profiles = (base.positive_ends.multiplicities, base.negative_ends.multiplicities)
+        self._total = sum(self._profiles[0].values()) + sum(self._profiles[1].values())
+        self._hypotheses = base.immersed and (is_orbit_cylinder(base) or all(
+            it.orbit.elliptic for it in (*base.positive_ends, *base.negative_ends)))
         self.entries: dict[TableKey, Fraction] = {}
         self.hypothesis_ok: dict[TableKey, bool] = {}
         for (pos_key, neg_key), count in entries.items():
@@ -125,16 +132,31 @@ class CountTable:
                                      for name, k in side_key), sign=sign)
 
     def _add(self, pos: OrbitCollection, neg: OrbitCollection, count: Fraction) -> None:
-        """Validate the row ``pos|neg`` and record its count; raises for an inadmissible key."""
-        spec = self._validate(pos, neg)
+        """Check the row ``pos|neg`` and record its count; raises for an inadmissible key.
+
+        Arithmetic admits what ``_validate`` admits: nonvanishing sides that cover the
+        base's profiles with one degree d >= 1 at ramification R >= 0, of index
+        ``P - 2 + d*rel_c1_doubled + cz+ - cz-``.  Other rows go to ``_validate``, which raises.
+        """
+        base, punctures = self.base, len(pos.items) + len(neg.items)
+        total = sum(pos.multiplicities.values()) + sum(neg.multiplicities.values())
+        degree = total // self._total if self._total else 0
+        ramification = degree * (2 - base.punctures) - 2 + punctures
+        if (degree > 0 and ramification >= 0 and pos.nonvanishing and neg.nonvanishing
+                and pos.multiplicities == {n: degree * m for n, m in self._profiles[0].items()}
+                and neg.multiplicities == {n: degree * m for n, m in self._profiles[1].items()}):
+            index = punctures - 2 + degree * base.rel_c1_doubled + pos.cz_sum - neg.cz_sum
+            ok = self._hypotheses and index <= base.index + 2 * ramification
+        else:
+            ok = obstruction_rank(self._validate(pos, neg)) is not None
         key = (pos.key(), neg.key())
         if key in self.entries:
             raise InadmissibleKey(f"duplicate table key {pos.render()}|{neg.render()}")
-        self.entries[key] = Fraction(count)
-        self.hypothesis_ok[key] = obstruction_rank(spec) is not None
+        self.entries[key] = count if type(count) is Fraction else Fraction(count)
+        self.hypothesis_ok[key] = ok
 
     def _validate(self, pos: OrbitCollection, neg: OrbitCollection) -> CoverSpec:
-        """The validated cover spec of a row; raises for an inadmissible key."""
+        """The validated cover spec of a row; raises for an inadmissible key (oracle of _add)."""
         def reject(reason: str) -> InadmissibleKey:
             return InadmissibleKey(f"key {pos.render()}|{neg.render()}: {reason}")
 
@@ -174,10 +196,12 @@ class CountTable:
         return sorted(self.entries.items())
 
     def __eq__(self, other):
+        # a table is a finitely supported function: an absent key counts 0
         return (isinstance(other, CountTable)
                 and self.context_kind == other.context_kind
                 and self.context_name == other.context_name
-                and self.entries == other.entries)
+                and {key: c for key, c in self.entries.items() if c}
+                == {key: c for key, c in other.entries.items() if c})
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import re
 import shlex
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from localsft import cli
+from localsft import cli, config, covers
 from localsft.cli import main
-from localsft.config import parse_config, render_config
+from localsft.config import _parse_fraction, parse_config, render_config
 from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
-from localsft.errors import ConfigError
+from localsft.errors import ConfigError, IterateOutOfRange, LocalSFTError
+from localsft.orbits import OrbitRegistry
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "src" / "localsft" / "data" / "example.cfg"
 
@@ -586,12 +588,27 @@ def test_unknown_names_are_positioned_parse_errors(statement, message):
      "line 4 col 1: key (g^2)|(g): sides imply different degrees [1, 2]"),
     ("curve w index=0 neg=(g)\ntable T curve=w\n(g) () 1\nend",
      "line 4 col 1: key (g)|(): implies covering degree 0; cover degree must be positive"),
+    ("curve w index=0 rel_c1_doubled=0 pos=(g^2)\ntable T curve=w\n(g^3) () 1\nend",
+     "line 4 col 1: key (g^3)|(): multiplicity 3 is not a multiple of the base profile 2"),
+    ("curve s closed=yes index=0 rel_c1_doubled=2\ntable T curve=s\n() () 1\nend",
+     "line 4 col 1: key ()|(): cannot infer a covering degree"),
+    ("curve w index=0 rel_c1_doubled=0 pos=(g,g,g)\ntable T curve=w\n(g^2,g^2,g^2) () 1\nend",
+     "line 4 col 1: key (g^2,g^2,g^2)|(): M[w,2]((g^2,g^2,g^2)|()): negative total "
+     "ramification"),
+    ("table T orbit=g\n(g) (g) 1\n(g) (g) 2\nend", "line 4 col 1: duplicate table row"),
+    # the atom g^5 first occurs on line 4: a rejected atom is resolved again where it recurs
+    ("table T orbit=g\n(g) (g) 1\n(g^5) (g^5) 1\nend",
+     "line 4 col 1: g^5: beyond declared bound max_iterate=4"),
 ], ids=["repeated-token", "suffix-of-earlier-token", "table-row", "bad-iterate-row",
-        "odd-repeat-row", "unequal-degrees-row", "degree-zero-row"])
+        "odd-repeat-row", "unequal-degrees-row", "degree-zero-row", "not-a-multiple-row",
+        "closed-curve-row", "negative-ramification-row", "duplicate-row", "iterate-range-row"])
 def test_error_column_is_that_of_the_token_itself(statement, message):
     # not that of an earlier token with the same text, or containing it
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(LocalSFTError) as err:
         parse_config(f"orbit g elliptic theta=3/10 max_iterate=4\n{statement}\n")
+    # an iterate out of range keeps its own code; every other error is a parse error
+    assert type(err.value) is (IterateOutOfRange if "beyond declared bound" in message
+                               else ConfigError)
     assert str(err.value) == message
 
 
@@ -622,6 +639,80 @@ def test_table_row_off_the_base_orbits_names_its_key(tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error E_PARSE: line 6 col 1: key (h3)|(): M[me0,1]((h3)|()): positive "
                    "ends {'h3': 1} do not cover the base profile {'e0': 1} with degree 1\n")
+
+
+ZERO_COUNT = ("orbit g elliptic theta=3/10 max_iterate=4\n"
+              "curve m index=0 rel_c1_doubled=0 pos=(g)\n"
+              "table T curve=m\n(g) () 0\n(g,g) () 1/2\nend\n")
+
+
+def test_a_zero_count_passes_the_weight_round_trip(tmp_path):
+    # a count table is finitely supported: the series drops the zero row, and a table
+    # read back without it is the same table
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(ZERO_COUNT)
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, err) == (0, ""), out
+    assert re.search(r"^table:T +pass +round-trip ok$", out, re.MULTILINE)
+    code, out, err = run_cli("--config", str(cfg), "--format", "records", "potential", "T")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "field=weight_roundtrip\tvalue=pass"
+    # rendering keeps the zero row, so parse -> render -> parse stays a fixpoint
+    rendered = render_config(parse_config(ZERO_COUNT))
+    assert "  (g) () 0\n" in rendered
+    assert render_config(parse_config(rendered)) == rendered
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-/._e", max_size=8))
+@example("3/-4")  # int("-4") accepts the denominator
+@example("1_000")  # Fraction rejects it on Python 3.10, int accepts it
+@example("0.25")
+@example("1e3")
+@example("5/0")
+@example("+5/3")
+@example("-0")
+@example("/3")
+def test_rationals_are_read_as_fraction_reads_them(text):
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        want = f"line 1 col 1: expected a rational number, got {text!r}"
+    try:
+        got = _parse_fraction(text, 1, 1)
+    except ConfigError as exc:
+        got = str(exc)
+    assert (type(got), got) == (type(want), want)
+
+
+def test_parse_checks_rows_by_arithmetic_and_resolves_each_atom_once(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    text = workloads.stress_config(0)[0]
+    validated, names, atoms = [], [], set()
+    monkeypatch.setattr(covers, "validate_cover", lambda spec: validated.append(spec))
+    get = OrbitRegistry.get
+    parse_collection = config._parse_collection
+    inside = []
+
+    def collection_spy(text, *args):
+        atoms.update(text[1:-1].split(",") if text != "()" else ())
+        inside.append(text)
+        try:
+            return parse_collection(text, *args)
+        finally:
+            inside.pop()
+
+    # the lookups that resolve collection atoms; tables, cylinders and necks look up names
+    monkeypatch.setattr(config, "_parse_collection", collection_spy)
+    monkeypatch.setattr(OrbitRegistry, "get", lambda self, name: (
+        names.append(name) if inside else None) or get(self, name))
+    doc = parse_config(text)
+    assert sum(len(table.entries) for table in doc.tables.values()) > 50
+    assert validated == []
+    assert sorted(names) == sorted(atom.partition("^")[0] for atom in atoms)
 
 
 _EXAMPLE_LINES = EXAMPLE.read_text().splitlines()

@@ -217,8 +217,107 @@ def test_parse_resolves_each_row_orbit_name_once(monkeypatch):
     doc = parse_config(_ROW_ORBITS + _ROW_CONTEXTS["curve=ce"][0]
                        + "table T curve=ce\n(e0,e0) (e1^2) 1\n(e0^2) (e1,e1) 2\nend\n")
     assert len(doc.tables["T"].entries) == 2
-    # the curve's ends once, then every atom of the rows once
-    assert Counter(names) == {"e0": 1 + 3, "e1": 1 + 3}
+    # each distinct atom text once, the rows' e0 and e1 being those of the curve's ends
+    assert Counter(names) == {"e0": 2, "e1": 2}  # e0, e0^2; e1, e1^2
+
+
+# -- the arithmetic row check against _validate -----------------------------------------
+
+_ORACLE_REG = OrbitRegistry([
+    ReebOrbit("e0", "elliptic", theta=Fraction(2, 9), max_iterate=8),
+    ReebOrbit("e1", "elliptic", theta=Fraction(7, 9), max_iterate=8),
+    ReebOrbit("h0", "hyperbolic", cz1=2),
+    ReebOrbit("h2", "hyperbolic", cz1=-3),
+])
+_ORACLE_ATOMS = st.tuples(st.sampled_from(("e0", "e1", "h0", "h2")), st.integers(1, 4))
+
+
+@st.composite
+def _oracle_rows(draw):
+    """A table context and one row: an orbit cylinder, or a curve (base ends, index,
+    doubled Chern number, immersed, closed); a row that covers the base's ends with one
+    degree, one side in four disturbed, or a row of any atoms."""
+    if draw(st.booleans()):
+        context = draw(st.sampled_from(("e0", "h0", "h2")))
+        base_sides = ([(context, 1)], [(context, 1)])
+    else:
+        closed = draw(st.integers(0, 4)) == 0
+        base_sides = ([], []) if closed else tuple(draw(st.lists(
+            st.tuples(st.sampled_from(("e0", "e1", "h0", "h2")), st.integers(1, 2)),
+            max_size=2)) for _ in range(2))
+        context = (*base_sides, draw(st.integers(-2, 2)), draw(st.integers(-4, 4)),
+                   draw(st.booleans()), closed)
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 3))
+        sides = []
+        for base_side in base_sides:
+            atoms = []
+            for name in sorted({name for name, _ in base_side}):
+                left = degree * sum(k for n, k in base_side if n == name)
+                while left:
+                    atoms.append((name, draw(st.integers(1, min(left, 4)))))
+                    left -= atoms[-1][1]
+            disturb = draw(st.sampled_from(["none", "none", "none", "add", "drop"]))
+            if disturb == "add":
+                atoms.append(draw(_ORACLE_ATOMS))
+            elif disturb == "drop":
+                atoms = atoms[1:]
+            sides.append(atoms)
+    else:
+        sides = [draw(st.lists(_ORACLE_ATOMS, max_size=4)) for _ in range(2)]
+    count = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    return context, sides[0], sides[1], count
+
+
+def _oracle_table(context):
+    if isinstance(context, str):
+        return CountTable("orbit", context, {}, _ORACLE_REG)
+    pos, neg, index, rel, immersed, closed = context
+    base = BaseCurve("w", *(OrbitCollection(tuple(_ORACLE_REG.get(name).iterate(k)
+                                                  for name, k in atoms), sign=sign)
+                            for atoms, sign in ((pos, "positive"), (neg, "negative"))),
+                     index=index, rel_c1_doubled=rel, immersed=immersed, closed=closed)
+    return CountTable("curve", "w", {}, _ORACLE_REG, base=base)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_oracle_rows())
+@example(("h2", [("h2", 2)], [("h2", 2)], Fraction(1)))  # bad iterate
+@example(("h0", [("h0", 1), ("h0", 1)], [("h0", 2)], Fraction(1)))  # odd repeat
+@example(("e0", [("e0", 1)], [("e0", 2)], Fraction(1)))  # the sides imply unequal degrees
+@example((([("e0", 2)], [], 0, 0, True, False), [("e0", 3)], [], Fraction(1)))  # no multiple
+@example((([], [], 0, 2, True, True), [], [], Fraction(1)))  # a closed curve: no degree
+@example((([], [("e0", 1)], 0, 0, True, False), [("e0", 1)], [], Fraction(1)))  # degree 0
+@example((([("e0", 1)], [], 0, 0, True, False), [("h0", 1)], [], Fraction(1)))  # off the base
+@example((([("e0", 1)] * 3, [], 0, 0, True, False), [("e0", 2)] * 3, [], Fraction(1)))  # R < 0
+@example((([("e0", 1)], [], 0, 0, False, False), [("e0", 2)], [], Fraction(1)))  # not immersed
+@example((([("h0", 1)], [], 0, 0, True, False), [("h0", 2)], [], Fraction(1)))  # hyperbolic end
+@example((([("e0", 1)], [], 0, 4, True, False), [("e0", 1)], [], Fraction(1)))  # index > bound
+@example((([("e0", 1)], [("e1", 1)], 0, 0, True, False), [("e0", 2)], [("e1", 1)] * 2,
+          Fraction(0)))
+def test_arithmetic_row_check_matches_validate(row):
+    context, pos_atoms, neg_atoms, count = row
+    pos, neg = (OrbitCollection(tuple(_ORACLE_REG.get(name).iterate(k) for name, k in atoms),
+                                sign=sign)
+                for atoms, sign in ((pos_atoms, "positive"), (neg_atoms, "negative")))
+    key = (pos.key(), neg.key())
+
+    def outcome(call):
+        try:
+            return call()
+        except LocalSFTError as exc:
+            return type(exc), str(exc)
+
+    def added():
+        table = _oracle_table(context)
+        table._add(pos, neg, count)
+        return table.entries, table.hypothesis_ok
+
+    def validated():
+        spec = _oracle_table(context)._validate(pos, neg)
+        return {key: count}, {key: obstruction_rank(spec) is not None}
+
+    assert outcome(added) == outcome(validated)
 
 
 class TestWeights:
