@@ -20,7 +20,7 @@ from . import exceptional as ex
 from . import potentials as pt
 from .config import ConfigDocument, parse_config, render_config
 from .errors import HYPOTHESIS_ERRORS, ConfigError, LocalSFTError
-from .orbits import cz_defect, cz_iterate, is_good, variable_degree
+from .orbits import MAX_ITERATE_BOUND, cz_defect, cz_iterate, is_good, variable_degree
 
 
 def _format_table(headers: list[str], rows: list[list[str]]) -> str:
@@ -51,7 +51,7 @@ def _load_config(args) -> ConfigDocument:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {args.config!r} does not exist")
-    _require_at_least("--truncation", args.truncation, 0)
+    _require_in_range("--truncation", args.truncation, 0)
     doc = parse_config(path.read_text())
     if args.truncation:
         doc.truncation = args.truncation
@@ -65,9 +65,11 @@ def _lookup(items: dict, what: str, name: str):
     return items[name]
 
 
-def _require_at_least(flag: str, value: int, low: int) -> None:
+def _require_in_range(flag: str, value: int, low: int, high: int | None = None) -> None:
     if value < low:
         raise ConfigError(f"{flag} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigError(f"{flag} must be at most {high}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +78,7 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 
 
 def cmd_cz(args) -> int:
-    _require_at_least("--max-k", args.max_k, 1)
+    _require_in_range("--max-k", args.max_k, 1, MAX_ITERATE_BOUND)
     doc = _load_config(args)
     names = args.orbits or [o.name for o in doc.registry.orbits()]
     rows = []
@@ -138,7 +140,7 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    _require_at_least("--max-codim", args.max_codim, 0)
+    _require_in_range("--max-codim", args.max_codim, 0)
     doc = _load_config(args)
     spec = _lookup(doc.covers, "cover", args.cover)
     neck = _lookup(doc.necks, "neck", args.neck).split() if args.neck else None
@@ -194,8 +196,8 @@ def cmd_potential(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    _require_at_least("--order", args.order, 0)
-    _require_at_least("--max-k", args.max_k, 1)
+    _require_in_range("--order", args.order, 0)
+    _require_in_range("--max-k", args.max_k, 1, MAX_ITERATE_BOUND)
     doc = _load_config(args)
     left = _build_potential(doc, args.left)
     right = _build_potential(doc, args.right)
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cz", parents=[common], help="Conley-Zehnder tables per orbit")
     p.add_argument("orbits", nargs="*")
     p.add_argument("--max-k", type=int, default=6,
-                   help="iterate bound for hyperbolic orbits")
+                   help=f"iterate bound for hyperbolic orbits, at most {MAX_ITERATE_BOUND}")
     p.set_defaults(fn=cmd_cz)
 
     p = sub.add_parser("index", parents=[common], help="Fredholm indices of the declared covers")
@@ -430,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=0,
                    help="total external degree kept; 0 means the document's truncation")
     p.add_argument("--max-k", type=int, default=3,
-                   help="iterate bound for hyperbolic middle orbits")
+                   help=f"iterate bound for hyperbolic middle orbits, at most {MAX_ITERATE_BOUND}")
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("exceptional", parents=[common], help="descendant count pipeline for a sphere")

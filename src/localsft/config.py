@@ -29,6 +29,7 @@ orbit, or ``<orbit>^<k>``, for its k-th iterate; a neck's ``orbits=``
 lists names only.  An empty atom, as in ``(a,)`` or ``(,)``, and an
 empty exponent, as in ``(a^)``, are errors at the collection's column.
 
+``theta`` and ``max_iterate`` are elliptic-only, ``cz1`` is hyperbolic-only.
 Curve names starting ``cyl:`` or ``cyl(`` are reserved for orbit
 cylinders.  ``separating=no`` is parsed and rejected: only separating
 necks are supported.  An error in a statement, an unknown name included,
@@ -45,8 +46,8 @@ from fractions import Fraction
 from .covers import BaseCurve, CoverSpec, cylinder_over
 from .errors import ConfigError, IterateOutOfRange, LocalSFTError
 from .exceptional import NeckConfiguration
-from .orbits import OrbitCollection, OrbitIterate, OrbitRegistry, ReebOrbit
-from .potentials import CountTable, _render_key
+from .orbits import OrbitCollection, OrbitIterate, OrbitRegistry, ReebOrbit, _render_key
+from .potentials import CountTable
 
 DEFAULT_TRUNCATION = 8
 

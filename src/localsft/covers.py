@@ -309,41 +309,44 @@ class NeckSplit:
                                    f"{ends.render()} and no {away} end")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StratumNode:
     """One level of a two-level splitting, possibly disconnected.
 
     ``empty`` marks descriptors whose branch-point constraints outnumber
     the available branch points, so the unperturbed space is empty even
-    though the descriptor appears in the stratification bookkeeping.  A node
-    made by ``boundary_strata`` keeps its key in place of a spec: ``spec``
-    is built on first read, and ``describe`` renders from the node's level.
+    though the descriptor appears in the stratification bookkeeping.  A
+    plain value record, not frozen: no code assigns to a node once made.
+    ``spec`` is built on first read from ``_made``, the node's key in
+    ``boundary_strata``, and ``describe`` renders from that key alone.
     """
 
     node_id: str
-    spec: CoverSpec
     components: int
     level: str
     index: int
     virtual_dim: int
     unperturbed_dim: int | None
     obstruction_rank: int | None
-    empty: bool = False
+    empty: bool
+    _made: tuple = field(repr=False, compare=False)
+
+    @_cached
+    def spec(self) -> CoverSpec:
+        level, (marked, constrained), _, _ = self._made
+        return replace(level.spec, marked_points=marked, constrained_branch_points=constrained)
 
     def describe(self) -> str:
-        made = self.__dict__.get("_made")  # the key of a node boundary_strata made
-        space = self.spec.describe() if made is None else made[0].describe(made[1])
+        level, marks, _, _ = self._made
+        space = _describe(level.base.name, level.degree, *marks,
+                          f"{level.positive.render()}|{level.negative.render()}")
         return f"{space} n={self.components} [{self.level}]"
 
 
-# set after @dataclass, which would make it the default; a spec given to __init__ shadows it
-StratumNode.spec = _cached(lambda node: replace(
-    node._made[0].spec, marked_points=node._made[1][0], constrained_branch_points=node._made[1][1]))
-StratumNode.spec.__set_name__(StratumNode, "spec")
-
-
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class StratumEdge:
+    """A splitting of ``parent``: a plain value record, not frozen, like ``StratumNode``."""
+
     parent: str
     upper: str
     lower: str
@@ -358,7 +361,7 @@ class StrataGraph:
     edges: list[StratumEdge] = field(default_factory=list)
 
     def node_list(self) -> list[StratumNode]:
-        return [self.nodes[k] for k in self.nodes]
+        return list(self.nodes.values())
 
     def render_adjacency(self) -> str:
         lines = []
@@ -484,7 +487,6 @@ class _Level:
             for name, n in base_ends.end_counts.items()))
         self.cylinder = is_orbit_cylinder(base)
         self.trivial = len(positive) if self.cylinder and positive.key() == negative.key() else 0
-        self.described: dict[tuple[int, int], str] = {}
 
     @_cached
     def spec(self) -> CoverSpec:
@@ -498,12 +500,6 @@ class _Level:
     def rank(self) -> int | None:
         return obstruction_rank(self.spec)
 
-    def describe(self, marks: tuple[int, int]) -> str:
-        if marks not in self.described:  # many nodes of a level share their marks
-            self.described[marks] = _describe(self.base.name, self.degree, *marks,
-                                              f"{self.positive.render()}|{self.negative.render()}")
-        return self.described[marks]
-
 
 def _make_node(key: tuple) -> StratumNode:
     """The node of ``key`` (level, marks, components, tag), annotated from its level.
@@ -516,16 +512,13 @@ def _make_node(key: tuple) -> StratumNode:
     dim = (level.base.index + 2 * level.ramification - 4 * (components - 1) - 2 * marks[1]
            if level.base.immersed else None)
     empty = dim is not None and dim < 0  # the branch-point constraint cannot be met
-    # __init__ of a frozen dataclass sets each field through object.__setattr__
-    node = object.__new__(StratumNode)
-    node.__dict__.update(
+    return StratumNode(
         node_id=f"{level.prefix}:r{marks[0]}c{marks[1]}:n{components}:{tag}",
         components=components, level=tag, index=index,
         # the translation quotient of an unmarked cylinder cover, as in virtual_dimension
         virtual_dim=index - 2 * marks[1] - (1 if level.cylinder and not marks[0] else 0),
         unperturbed_dim=None if empty else dim, empty=empty, _made=key,
         obstruction_rank=level.rank if dim is not None and not empty and components == 1 else None)
-    return node
 
 
 def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
@@ -586,14 +579,13 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     key = (root_level, (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
     root = nodes[key] = _make_node(key)
     graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
-    queue, nodes_by_id, edges, new = [(key, 0)], graph.nodes, graph.edges, object.__new__
-    for parent_key, codim in queue:
-        parent_level, parent_marks, components, _ = parent_key
+    queue, nodes_by_id, edges = [(root, 0)], graph.nodes, graph.edges
+    for parent, codim in queue:
+        parent_level, parent_marks, components, _ = parent._made
         closed = parent_level.base.closed
         if codim >= max_codim or components != 1 or (closed and (neck is None or codim)):
             continue
         kind = "neck" if closed else "sft"
-        parent_id = nodes[parent_key].node_id
         placements = _marked_placements(*parent_marks)
         for (first, first_tag, second, second_tag, middle, total, counts,
              lower_first) in splits(parent_level):
@@ -608,15 +600,13 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
                     a = nodes.get(key_a) or nodes.setdefault(key_a, _make_node(key_a))
                     key_b = (second, marks_second, total - n_first, second_tag)
                     b = nodes.get(key_b) or nodes.setdefault(key_b, _make_node(key_b))
-                    children = ((b, key_b), (a, key_a)) if lower_first else ((a, key_a), (b, key_b))
-                    for child, child_key in children:
+                    upper, lower = (b, a) if lower_first else (a, b)
+                    for child in (upper, lower):
                         if child.node_id not in nodes_by_id:
                             nodes_by_id[child.node_id] = child
-                            queue.append((child_key, codim + 1))
-                    edge = new(StratumEdge)  # a frozen dataclass, filled as in _make_node
-                    edge.__dict__.update(parent=parent_id, upper=children[0][0].node_id,
-                                         lower=children[1][0].node_id, middle=middle, kind=kind)
-                    edges.append(edge)
+                            queue.append((child, codim + 1))
+                    edges.append(StratumEdge(parent.node_id, upper.node_id, lower.node_id,
+                                             middle, kind))
     return graph
 
 

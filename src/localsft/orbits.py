@@ -73,8 +73,9 @@ class ReebOrbit:
         else:
             if self.cz1 is None:
                 raise InvalidOrbit(f"orbit {self.name}: hyperbolic needs cz1")
-            if self.theta is not None:
-                raise InvalidOrbit(f"orbit {self.name}: theta is elliptic-only data")
+            for key in ("theta", "max_iterate"):
+                if getattr(self, key) is not None:
+                    raise InvalidOrbit(f"orbit {self.name}: {key} is elliptic-only data")
 
     @property
     def elliptic(self) -> bool:
@@ -116,6 +117,10 @@ class OrbitIterate:
 
 _ITERATE_ORDER = attrgetter("orbit.name", "k")
 _NAME = itemgetter(0)
+
+
+def _render_key(key: tuple[tuple[str, int], ...]) -> str:
+    return "(" + ",".join(name if k == 1 else f"{name}^{k}" for name, k in key) + ")"
 
 
 class _cached:
@@ -195,7 +200,7 @@ class OrbitCollection:
 
     @_cached
     def _render(self) -> str:
-        return "(" + ",".join(it.name for it in self.items) + ")"
+        return _render_key(self._key)
 
     def __len__(self):
         return len(self.items)

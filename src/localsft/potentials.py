@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import itemgetter
 
 from .algebra import (
@@ -80,10 +80,6 @@ from .orbits import (
 CollectionKey = tuple[tuple[str, int], ...]
 TableKey = tuple[CollectionKey, CollectionKey]
 _FIRST = itemgetter(0)
-
-
-def _render_key(key: CollectionKey) -> str:
-    return "(" + ",".join(name if k == 1 else f"{name}^{k}" for name, k in key) + ")"
 
 
 class CountTable:
@@ -218,14 +214,8 @@ class Potential:
 
 
 def _weight(pos_key: CollectionKey, neg_key: CollectionKey) -> Fraction:
-    kappa_pos = 1
-    for _, k in pos_key:
-        kappa_pos *= k
-    kappa_neg = 1
-    for _, k in neg_key:
-        kappa_neg *= k
     return Fraction(1, factorial(len(pos_key)) * factorial(len(neg_key))
-                    * kappa_pos * kappa_neg)
+                    * prod(k for _, k in pos_key + neg_key))
 
 
 def potential_from_counts(table: CountTable, truncation: int) -> Potential:

@@ -247,6 +247,9 @@ def test_cylinder_neck_and_unordered_collection_roundtrip(tmp_path):
     ("hurwitz", "--degree", "2", "--branch-points", "1001"),
     ("--config", str(EXAMPLE), "strata", "cyl_pair", "--max-codim", "-1"),
     ("--config", str(EXAMPLE), "cz", "--max-k", "0"),
+    ("--config", str(EXAMPLE), "cz", "--max-k", "10001"),
+    ("--config", str(EXAMPLE), "compose", "F_vminus", "F_vminus", "--middle", "gamma",
+     "--max-k", "10001"),
 ])
 def test_invalid_arguments_give_one_error_line(argv):
     code, _, err = run_cli(*argv)
@@ -266,6 +269,8 @@ def test_compose_over_odd_hyperbolic_orbit_skips_bad_iterates():
     ("--truncation", "-1", "potential", "F_vminus"),
     ("compose", "F_vminus", "F_vminus", "--middle", "gamma", "--order", "-1"),
     ("compose", "F_vminus", "F_vminus", "--middle", "gamma", "--max-k", "0"),
+    ("cz", "--max-k", "10001"),
+    ("compose", "F_vminus", "F_vminus", "--middle", "gamma", "--max-k", "10001"),
 ])
 def test_negative_numeric_arguments_are_parse_errors(argv):
     code, out, err = run_cli("--config", str(EXAMPLE), *argv)
@@ -639,6 +644,15 @@ def test_table_row_off_the_base_orbits_names_its_key(tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error E_PARSE: line 6 col 1: key (h3)|(): M[me0,1]((h3)|()): positive "
                    "ends {'h3': 1} do not cover the base profile {'e0': 1} with degree 1\n")
+
+
+def test_a_hyperbolic_orbit_rejects_max_iterate(tmp_path):
+    # the renderer writes max_iterate for elliptic orbits only, so a hyperbolic orbit
+    # that kept it would not round-trip: it is refused on its own line
+    cfg = tmp_path / "hyperbolic.cfg"
+    cfg.write_text("orbit a hyperbolic cz1=1 max_iterate=3\n")
+    assert run_cli("--config", str(cfg), "check") == (
+        2, "", "error E_PARSE: line 1: orbit a: max_iterate is elliptic-only data\n")
 
 
 ZERO_COUNT = ("orbit g elliptic theta=3/10 max_iterate=4\n"

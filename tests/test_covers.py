@@ -949,6 +949,19 @@ def test_strata_validate_exactly_the_levels_with_nodes_and_build_specs_when_read
         assert (node.spec.index, node.spec.ramification) == (fresh.index, fresh.ramification)
 
 
+@settings(max_examples=60, deadline=None)
+@given(strata_cases())
+def test_strata_of_one_spec_are_equal_values_and_compare_without_specs(case):
+    # nodes and edges compare and hash by value, and doing so builds no node's spec
+    spec, neck = case
+    first, second = (boundary_strata(spec, neck=neck, max_codim=2) for _ in range(2))
+    assert first.nodes == second.nodes and first.edges == second.edges
+    for ours, theirs in ((first.node_list(), second.node_list()), (first.edges, second.edges)):
+        assert list(map(hash, ours)) == list(map(hash, theirs))
+    assert not any("spec" in node.__dict__ for graph in (first, second)
+                   for node in graph.node_list())
+
+
 def _plus_with_positive_end(g, h):
     return BaseCurve("vplus", positive_ends=coll(h.iterate(1)),
                      negative_ends=coll(g.iterate(1), sign="negative"))

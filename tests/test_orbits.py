@@ -242,6 +242,7 @@ _PLANE = BaseCurve("u", positive_ends=OrbitCollection((_H.iterate(1),)))
 @pytest.mark.parametrize("build, error", [
     (lambda: ReebOrbit("x", "parabolic"), InvalidOrbit),
     (lambda: ReebOrbit("x", "hyperbolic"), InvalidOrbit),
+    (lambda: ReebOrbit("x", "hyperbolic", cz1=1, max_iterate=3), InvalidOrbit),
     (lambda: elliptic(Fraction(1, 3), max_iterate=4), InvalidOrbit),
     (lambda: _H.iterate(0), InvalidOrbit),
     (lambda: Variable(_H.iterate(1), "r"), InvalidVariable),

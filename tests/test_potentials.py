@@ -28,12 +28,11 @@ from localsft.errors import (
     NoFormalSolution,
     RegistryMismatch,
 )
-from localsft.orbits import OrbitCollection, OrbitRegistry, ReebOrbit, cz_iterate
+from localsft.orbits import OrbitCollection, OrbitRegistry, ReebOrbit, _render_key, cz_iterate
 from localsft.potentials import (
     CountTable,
     _external_truncate,
     Potential,
-    _render_key,
     assert_hamiltonian_vanishes,
     compose_sharp,
     hamilton_jacobi_rhs,
