@@ -30,9 +30,10 @@ A stored numerator is the coefficient of the monomial's letters written in
 *field* order.  ``_packed`` packs a monomial written as (slot, exponent)
 runs in any order and gives the Koszul sign that takes it to field order;
 ``_runs`` reads the runs back.  The constructor, ``coefficient()``,
-``terms()`` (and so rendering), ``reside``, ``substitute`` and
-``potentials.identity_series`` convert through ``_packed``, so the order in
-which a process met its slots never reaches output.  ``Variable``, ``terms()``,
+``terms()`` (and so rendering), ``potentials.identity_series`` and the
+substitution of parity-breaking images convert through ``_packed``, so the
+order in which a process met its slots never reaches output; ``reside`` and
+the substitution of parity-preserving images decode no monomial.  ``Variable``, ``terms()``,
 ``coefficient()`` and the constructor speak ``((Variable, exponent), ...)``
 monomials, and ``terms()`` lists them in canonical order.
 
@@ -268,12 +269,17 @@ def _ordered(terms: PackedTerms) -> list[tuple[tuple[tuple[int, int], ...], int]
                   key=lambda row: (row[1] & _LETTERS, row[0]))
 
 
-def _used(terms: PackedTerms) -> list[int]:
-    """The slots of the letters occurring in ``terms``."""
-    union = 0
+def _used(terms: Iterable[int]) -> list[int]:
+    """The slots of the letters occurring in the codes ``terms``, in field order."""
+    union, slots, used = 0, _FIELDS.slots, []
     for code in terms:
         union |= code
-    return [slot for slot, _ in _runs(union)]
+    union >>= _FIRST_FIELD
+    while union:  # the last field first
+        field = (union.bit_length() - 1) // _W
+        used.append(slots[field])
+        union &= (1 << _W * field) - 1
+    return used[::-1]
 
 
 def _mask(slots) -> int:
@@ -289,7 +295,7 @@ def _p_degree(code: int) -> int:
 
 
 def _degree(var: _SlotTable, code: int) -> int:
-    return sum(var[s].degree * e for s, e in _runs(code))
+    return sum(var[s].degree * (code >> _FIELDS[s] & _LETTERS) for s in _used((code,)))
 
 
 def _odd(code: int) -> int:
@@ -539,9 +545,18 @@ def _add_product(terms: PackedTerms, a: PackedTerms, right: _Right, truncation: 
 
 
 def multiply(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Supercommutative product, truncated in total p-degree."""
+    """Supercommutative product, truncated in total p-degree.
+
+    A square ``multiply(f, f)`` is ``E*E + 2*E*O`` for the even and odd parts of
+    ``f``, as odd terms anticommute, unless its terms are too long to multiply.
+    """
     f._check_compatible(g)
-    terms = _add_product({}, f._terms, _right(g._terms), f.truncation)
+    if f is g and 2 * max((m & _LETTERS for m in f._terms), default=0) <= _LETTERS:
+        even = {m: c for m, c in f._terms.items() if not _odd(m)}
+        terms = _add_product({}, even, _right(even), f.truncation)
+        _add_product(terms, even, _right(_odd_part(f._terms)), f.truncation, 2)
+    else:
+        terms = _add_product({}, f._terms, _right(g._terms), f.truncation)
     return GradedSeries._of_packed(f.registry, f.truncation, terms, f._den * g._den)
 
 
@@ -626,13 +641,14 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
                guard_truncation: bool = False) -> GradedSeries:
     """Simultaneous graded substitution.
 
-    Variables missing from ``assignment`` are left in place.  Images of a
-    monomial's letters are multiplied in canonical monomial order, so the
-    result is deterministic even for parity-breaking assignments (allowed
-    only with ``check_degrees=False``): the accumulator of a monomial is
-    seeded by the image of its first letter, scaled by the coefficient,
-    and the later images multiply it from the right.  Each power
-    ``image**e`` is computed once per call.  The result has one
+    Variables missing from ``assignment`` are left in place.  When every
+    image term has its variable's parity (so whenever degrees are checked),
+    substitution is an algebra homomorphism, ``phi(x*y) = phi(x)*phi(y)``:
+    the images of a monomial's letters may be multiplied in any order that
+    keeps its Koszul sign.  A parity-breaking assignment (allowed only with
+    ``check_degrees=False``) is not; its images are multiplied in canonical
+    monomial order, so the result is deterministic (``_substitute_canonical``).
+    Each power ``image**e`` is computed once per call.  The result has one
     denominator: ``f``'s times ``d**top`` for each assigned letter, where
     ``d`` is the denominator of its image and ``top`` its largest exponent
     in ``f``.  A monomial with no assigned letter is copied to the result
@@ -668,6 +684,11 @@ def _kept(terms: PackedTerms, order: int | None) -> PackedTerms:
     return {m: c for m, c in terms.items() if c and m & _LETTERS <= order}
 
 
+def _preserves_parity(images: dict[int, tuple[PackedTerms, int]]) -> bool:
+    """Whether every image term has its slot's parity: substitution is then a homomorphism."""
+    return all(_odd(m) == slot & 1 for slot, (image, _) in images.items() for m in image)
+
+
 def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, int]],
                       truncation: int, order: int | None = None) -> tuple[PackedTerms, int]:
     """The substitution kernel: ``terms`` with each slot of ``images`` replaced.
@@ -676,14 +697,71 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
     Returns the numerators of the result, zeros included, and the ``lift``:
     the result is over the input's denominator times ``lift``.  Monomials
     with no slot of ``images`` (no letter in the mask of their fields) pass
-    through, scaled by ``lift``; see ``substitute`` for the order of the
-    products and the denominator.
+    through, scaled by ``lift``; see ``substitute`` for the denominator.
+
+    When every image term has its slot's parity, substitution is a homomorphism
+    and needs no decoding: a code is ``s * x_rest * x_part``, its untouched
+    rest times its moved part (``code & mask``), and the rests of one part,
+    each with its sign ``s``, multiply the part's image once.  Other images
+    go through ``_substitute_canonical``, which defines their result.
 
     With an ``order``, for callers that keep only result terms of at most
     ``order`` letters, a partial product longer than that is dropped after
     each product: letters only add up, so it feeds no kept term.  Terms
-    passed through are not filtered.
+    passed through, and a part's image times its rests, are not filtered.
     """
+    if not _preserves_parity(images):
+        return _substitute_canonical(terms, images, truncation, order)
+    mask, fields = _mask(images), _FIELDS
+    moved = sorted((fields[slot], slot) for slot in images)
+    groups: dict[int, list[tuple[int, int]]] = {}  # moved part -> its (code, numerator) rows
+    for code, coeff in terms.items():
+        groups.setdefault(code & mask, []).append((code, coeff))
+    passed = groups.pop(0, [])
+    lift = prod(den ** max((part >> shift & _LETTERS for part in groups), default=0)
+                for shift, slot in moved if (den := images[slot][1]) > 1)
+    out = dict(passed) if lift == 1 else {m: c * lift for m, c in passed}
+    powers: dict[tuple[int, int], tuple[PackedTerms, _Right]] = {}  # (slot, e) -> image**e
+    dead = _mask(slot for slot, (image, _) in images.items() if not image)
+    for part, rows in groups.items():
+        if part & dead:  # a letter with the image zero
+            continue
+        product, right, den, drop = None, None, 1, part
+        for shift, slot in moved:
+            e = part >> shift & _LETTERS
+            if not e:
+                continue
+            den *= images[slot][1] ** e
+            drop += e if slot & _Q_BIT else e + (e << _P_SHIFT)
+            if (slot, e) not in powers:
+                image = power = images[slot][0]
+                for _ in range(e - 1):
+                    power = _kept(_add_product({}, power, _right(image), truncation), order)
+                powers[slot, e] = power, _right(power)
+            if product is None:
+                product, right = powers[slot, e]
+            else:
+                product = _kept(_add_product({}, product, powers[slot, e][1], truncation), order)
+                right = None
+        if not product:
+            continue
+        # the sign s: untouched odd fields above an odd number of the part's odd letters
+        below = (part & fields.odd) << _W
+        if below:
+            for shift in fields.spread:
+                below ^= below << shift
+            below &= fields.odd & ~mask
+        scale = lift // den
+        rests = {code - drop: -coeff * scale if (below & code).bit_count() & 1 else coeff * scale
+                 for code, coeff in rows}
+        _add_product(out, rests, right or _right(product), truncation)
+    return out, lift
+
+
+def _substitute_canonical(terms: PackedTerms, images: dict[int, tuple[PackedTerms, int]],
+                          truncation: int, order: int | None = None
+                          ) -> tuple[PackedTerms, int]:
+    """``_substitute_slots`` by images multiplied in canonical monomial order."""
     mask = _mask(images)
     passed: list[tuple[int, int]] = []
     moved: list[tuple[list[tuple[int, int]], int]] = []  # (runs in canonical order, numerator)
@@ -730,13 +808,13 @@ def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,
            orbit_names: set[str] | None = None) -> GradedSeries:
     """Retag matching variables with a new side, preserving all signs.
 
-    A relabel of slots, not a substitution: a slot matches when its kind
-    and side are ``kind`` and ``side`` and, unless ``orbit_names`` is None,
-    its orbit is named in it.  A matching slot changes only its side bits,
-    to those of ``new_side``.  Each monomial with a matching letter is
-    written in its field order with the letters retagged in place and
-    packed again by ``_packed``, whose sign re-sorts it (zero when two odd
-    letters meet), over the same denominator.  ``new_side`` is checked only
+    A slot matches when its kind and side are ``kind`` and ``side`` and,
+    unless ``orbit_names`` is None, its orbit is named in it; it changes
+    only its side bits, to those of ``new_side``.  As a homomorphism (see
+    ``substitute``) it moves each matched exponent to its new field by
+    shift: an odd letter takes one sign per odd letter strictly between the
+    two fields, or its term vanishes when the new field is already set.
+    The result is over the same denominator.  ``new_side`` is checked only
     when some variable matches.
     """
     if kind not in ("p", "q") or side not in SIDES:
@@ -745,18 +823,29 @@ def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,
     want = (_Q_BIT if kind == "q" else 0) | SIDES.index(side) << 1
     ranks = None if orbit_names is None else {var.rank[name] for name in orbit_names
                                               if name in var.rank}
-    matched = {s for s in _used(f._terms) if s & _KIND_SIDE_MASK == want
-               and (ranks is None or s >> _RANK_SHIFT in ranks)}
+    matched = [s for s in _used(f._terms) if s & _KIND_SIDE_MASK == want
+               and (ranks is None or s >> _RANK_SHIFT in ranks)]
     if not matched:
         return f
     Variable(var[min(matched)].iterate, kind, new_side)  # raises for an unknown side
     bits = SIDES.index(new_side) << 1
-    moved = {s: s & ~_SIDE_MASK | bits for s in matched}
+    fields = _FIELDS
+    moves = [(fields[s], fields[s & ~_SIDE_MASK | bits], s & 1) for s in matched]
+    # and the odd fields strictly between, for an odd letter, once every new field exists
+    moves = [(old, new, odd, fields.odd & ((1 << max(old, new)) - (1 << min(old, new) + _W)) * odd)
+             for old, new, odd in moves if old != new]
     mask = _mask(matched)
     terms: PackedTerms = {}
     for code, coeff in f._terms.items():
         if code & mask:
-            code, sign = _packed([(moved.get(s, s), e) for s, e in _runs(code)])
-            coeff *= sign
-        terms[code] = terms.get(code, 0) + coeff
+            for old, new, odd, between in moves:
+                e = code >> old & _LETTERS
+                if e and code >> new & odd:  # an odd letter met twice: the term vanishes
+                    coeff = 0
+                    break
+                if e and (code & between).bit_count() & 1:
+                    coeff = -coeff
+                code += (e << new) - (e << old)
+        if coeff:
+            terms[code] = terms.get(code, 0) + coeff
     return GradedSeries._of_packed(f.registry, f.truncation, terms, f._den)

@@ -52,7 +52,15 @@ def _load_config(args) -> ConfigDocument:
     if not path.exists():
         raise ConfigError(f"config file {args.config!r} does not exist")
     _require_in_range("--truncation", args.truncation, 0)
-    doc = parse_config(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {args.config!r} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {args.config!r} cannot be read: "
+                          f"{exc.strerror or exc}") from None
+    doc = parse_config(text)
     if args.truncation:
         doc.truncation = args.truncation
     return doc

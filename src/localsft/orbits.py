@@ -163,9 +163,13 @@ class OrbitCollection:
     def __post_init__(self):
         if self.sign not in ("positive", "negative"):
             raise InvalidOrbit(f"collection sign must be positive/negative, got {self.sign!r}")
-        items = sorted(self.items, key=_ITERATE_ORDER)
-        object.__setattr__(self, "items", tuple(items))
-        self.__dict__["_key"] = tuple(map(_ITERATE_ORDER, items))
+        items = tuple(self.items)
+        keys = tuple(map(_ITERATE_ORDER, items))  # one key per member
+        key = tuple(sorted(keys))
+        if key != keys:  # most collections are built in order already
+            items = tuple([items[i] for i in sorted(range(len(items)), key=keys.__getitem__)])
+        object.__setattr__(self, "items", items)
+        self.__dict__["_key"] = key
 
     @_cached
     def multiplicities(self) -> dict[str, int]:

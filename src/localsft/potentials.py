@@ -45,10 +45,10 @@ from .algebra import (
     _kappa,
     _kept,
     _mask,
-    _odd,
     _ordered,
     _packed,
     _partial,
+    _preserves_parity,
     _reduced,
     _slots,
     _substitute_slots,
@@ -505,8 +505,7 @@ def compose_sharp(f_minus: Potential, f_plus: Potential,
         terms, lift = _substitute_slots(terms, images, truncation, order)
         return GradedSeries._of_packed(registry, truncation, terms, den * lift)
 
-    if all(_odd(mono) == slot & 1
-           for half in (q_sol, p_sol) for slot, (terms, _) in half.items() for mono in terms):
+    if _preserves_parity(q_sol) and _preserves_parity(p_sol):
         # F- reweighted by 1 - e for its number e of middle letters: e = 1 drops out
         shifts = [_FIELDS[p] for p in p_sol]
         weighted: PackedTerms = {}

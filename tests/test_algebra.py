@@ -22,6 +22,8 @@ from localsft.algebra import (
     reside,
     substitute,
 )
+from localsft import algebra
+from localsft.algebra import _FIELDS, _kept, _odd, _slots, _substitute_canonical, _substitute_slots
 from localsft.errors import (
     BadOrbit,
     DegreeMismatch,
@@ -738,6 +740,54 @@ def test_first_seen_field_order_never_reaches_output():
     assert runs[0].stdout.count("\n") == 8 and "-" in runs[0].stdout
 
 
+_SUBSTITUTE_ORDER_SCRIPT = """
+import sys
+from fractions import Fraction
+from localsft import algebra
+from localsft.algebra import GradedSeries, Variable, substitute
+from localsft.orbits import OrbitRegistry, ReebOrbit
+
+reg = OrbitRegistry([ReebOrbit("a", "elliptic", theta=Fraction(3, 10), max_iterate=4),
+                     ReebOrbit("b", "hyperbolic", cz1=2), ReebOrbit("c", "hyperbolic", cz1=-2)])
+letters = [Variable(reg.get(name).iterate(k), kind, side)
+           for name, k in (("a", 1), ("a", 2), ("b", 1), ("c", 1))
+           for kind in ("p", "q") for side in ("middle", "plus")]
+if sys.argv[1] == "reversed":
+    letters.reverse()
+for v in letters:  # the series kernel meets the variables in this order
+    GradedSeries.of(reg, 6, v)
+print(algebra._FIELDS.slots[0], file=sys.stderr)
+letters.sort(key=lambda v: v.key)
+terms = {}
+for i in range(14):
+    word = [letters[(5 * i + 3 * j) % len(letters)] for j in range(1 + i % 5)]
+    terms[tuple((v, 1 + (j == 0 and not v.odd)) for j, v in enumerate(word))] = Fraction(i - 6, 1 + i % 4)
+pa, qa, pb, qb, pc = (letters[i] for i in (0, 2, 8, 10, 12))
+terms[((pb, 1), (qb, 1), (pc, 1), (letters[14], 1), (qa, 2))] = 5  # moved odd letters interleaved
+terms[((letters[9], 1), (pc, 1), (pb, 1))] = Fraction(-7, 3)
+f = GradedSeries(reg, 6, terms)
+one = lambda v, c=1: GradedSeries.of(reg, 6, v, c)
+odd_image = one(pc, 3) + (one(qa) * one(pb)).scale(Fraction(1, 2))
+even_image = one(qa) * one(qa) + one(qb) * one(pc) + GradedSeries.constant(reg, 6, 2)
+for assignment in ({pb: odd_image, pc: one(pb, -1) + one(qa) * one(pc), pa: even_image},
+                   {pb: even_image, pa: odd_image, qb: one(qa)}):  # parity-breaking
+    series = substitute(f, assignment, check_degrees=False)
+    print(series.render())
+    print(series.terms())
+"""
+
+
+def test_first_seen_field_order_never_reaches_substitution_output():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    runs = [subprocess.run([sys.executable, "-c", _SUBSTITUTE_ORDER_SCRIPT, order], env=env,
+                           capture_output=True, text=True, check=True)
+            for order in ("forward", "reversed")]
+    assert runs[0].stderr != runs[1].stderr  # the two processes gave the slots other fields
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.count("\n") == 4 and "-" in runs[0].stdout
+
+
 def test_products_over_equal_but_distinct_registries():
     other = make_registry()
     # the other registry's variables are met first, in an order of their own
@@ -765,3 +815,145 @@ def test_a_product_of_too_many_letters_is_refused_once_per_left_term():
     assert multiply(long_q, fits).coefficient(((QA, 65535),)) == 1
     with pytest.raises(TruncationOverflow, match="65536 letters"):
         multiply(long_q, GradedSeries(REG, TRUNC, {((QA, 25536),): 1, ((PB, 1),): 1}))
+
+
+# -- substitution as a homomorphism: the field-order path against the canonical loop --
+
+def _letters_series(spec):
+    """Terms of sided letters; even letters may be squared, odd ones appear once."""
+    return _powers_series([(num, den, [(i, 1 if SIDED_VARS[i].odd else e) for i, e in letters])
+                           for num, den, letters in spec])
+
+
+def _parity_image(spec, odd):
+    """An image of parity ``odd``: a term of the other parity gains the odd letter p+[c]."""
+    image = _letters_series(spec)
+    flip = GradedSeries._of_packed(REG, TRUNC, {m: c for m, c in image._terms.items()
+                                                if _odd(m) != odd}, image._den)
+    return image - flip + multiply(flip, S(var("c", 1, "p", "plus")))
+
+
+_letter = st.tuples(st.integers(0, len(SIDED_VARS) - 1), st.sampled_from((1, 2)))
+# a term: numerator, denominator and letters; an image term may have no letter, a
+# constant of p-degree 0
+_hom_series = st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                                 st.lists(_letter, min_size=1, max_size=5)),
+                       min_size=1, max_size=5)
+_image_spec = st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                                 st.lists(_letter, max_size=2)),
+                       min_size=1, max_size=3)
+@settings(max_examples=200, deadline=None)
+@given(_hom_series, st.lists(st.tuples(st.integers(0, 15), _image_spec), min_size=1, max_size=3),
+       st.sampled_from((None, 0, 1, 2, 3, 5)))
+@example([(3, 1, [(1, 2), (8, 1), (11, 1)]), (-1, 2, [(1, 1), (10, 1)])],
+         [(0, [(1, 2, [(0, 2)]), (5, 1, [])])], 3)
+def test_homomorphism_substitution_matches_the_canonical_loop(spec, image_specs, order):
+    # images of letters of f, each of its slot's parity, so the field-order path runs
+    f = _letters_series(spec)
+    used, var = f.variables() or [QA], _slots(REG)
+    images = {}
+    for i, image_spec in image_specs:
+        slot = var.slot(used[i % len(used)])
+        image = _parity_image(image_spec, slot & 1)
+        images[slot] = (image._terms, image._den)
+    got, lift = _substitute_slots(f._terms, images, TRUNC, order)
+    want, want_lift = _substitute_canonical(f._terms, images, TRUNC, order)
+    assert lift == want_lift
+    assert _kept(got, order) == _kept(want, order)
+
+
+def test_homomorphism_substitution_with_odd_letters_interleaved():
+    # every other odd letter in this process's field order is moved, so each moved letter
+    # has untouched odd letters below it; the images take odd letters of the minus side
+    var = _slots(REG)
+    odd = sorted((v for v in SIDED_VARS if v.odd), key=lambda v: _FIELDS[var.slot(v)])
+    minus = [Variable(it, kind, "minus") for it in ITERATES[2:] for kind in ("p", "q")]
+    f = GradedSeries(REG, TRUNC, {tuple((v, 1) for v in odd[:k]) + ((QA, k % 3),): k - 5
+                                  for k in range(2, len(odd) + 1)})
+    assignment = {v: S(minus[i]).scale(i + 1) + multiply(S(QA), S(minus[i - 1])).scale(-2)
+                  + multiply(multiply(S(minus[i - 2]), S(minus[i - 3])), S(minus[i - 1]))
+                  for i, v in enumerate(odd[1::2])}
+    images = {var.slot(v): (image._terms, image._den) for v, image in assignment.items()}
+    for order in (None, 4, 7):
+        got, lift = _substitute_slots(f._terms, images, TRUNC, order)
+        assert (lift, _kept(got, order)) == (1, _kept(_substitute_canonical(
+            f._terms, images, TRUNC, order)[0], order))
+    got = substitute(f, assignment, check_degrees=False)
+    assert got == _reference_substitute(f, assignment) and not got.is_zero()
+
+
+def test_reside_moves_an_odd_letter_across_odd_fields():
+    # iterates no other test uses, met in this order: the retagged p+[b^7] moves to the
+    # field of p~[b^7] past the three odd fields met in between
+    b7, c7 = REG.get("b").iterate(7), REG.get("c").iterate(7)
+    old, new = Variable(b7, "p", "plus"), Variable(b7, "p", "middle")
+    between = [Variable(c7, "q", "minus"), Variable(c7, "p", "plus"), Variable(b7, "q", "middle")]
+    for v in [old, *between, new]:
+        S(v)
+    field = {v: _FIELDS[_slots(REG).slot(v)] for v in [old, *between, new]}
+    assert all(field[old] < field[v] < field[new] for v in between)
+    assert all(v.odd for v in [old, *between, new])
+    f = GradedSeries(REG, TRUNC, {
+        ((old, 1), (between[0], 1), (between[1], 1), (between[2], 1), (QA, 2)): 2,  # three signs
+        ((old, 1), (between[0], 1), (between[2], 1)): Fraction(-1, 3),              # two signs
+        ((old, 1), (new, 1), (between[1], 1)): 5,       # collides with itself: vanishes
+        ((new, 1), (between[0], 1)): 7,                 # already there: unchanged
+        ((old, 1),): Fraction(1, 2)})                   # collects with ...
+    f = f + S(new, Fraction(1, 2))                      # ... this term to 1*p~[b^7]
+    args = dict(kind="p", side="plus", new_side="middle", orbit_names={"b"})
+    moved = reside(f, **args)
+    assert moved == _substitute_reside(f, **args)
+    assert moved == _reference_substitute(f, {old: S(new)})
+    assert len(moved.terms()) == 4 and moved.coefficient(((new, 1),)) == 1
+    assert moved.coefficient(((new, 1), (between[0], 1), (between[2], 1))) == Fraction(-1, 3)
+
+
+# a term too long to square: 2 * 40000 letters do not fit in a field
+_LONG_EVEN = GradedSeries(REG, TRUNC, {((QA, 40000),): 1, ((QB, 1),): 2})
+_LONG_ODD = GradedSeries(REG, TRUNC, {((QA, 40000), (QB, 1)): 1, ((QA2, 1),): 3})
+_SHORT_ODD = GradedSeries(REG, TRUNC, {((QA, 30000), (QB, 1)): 1, ((QA2, 1),): 3})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_packed_term, max_size=5).map(_packed_series))
+@example(_LONG_EVEN)
+@example(_LONG_ODD)
+@example(_SHORT_ODD)
+@example(GradedSeries.zero(REG, TRUNC))
+def test_a_square_is_the_product_with_a_copy(f):
+    # E*E + 2*E*O for one object; the same value, or the same error, as the general product
+    copy = GradedSeries._of_packed(f.registry, f.truncation, dict(f._terms), f._den)
+    assert copy is not f
+    square = _outcome(lambda: multiply(f, f))
+    assert square == _outcome(lambda: multiply(f, copy))
+    assert isinstance(square, tuple) == any(2 * (m & 0xFFFF) > 0xFFFF for m in f._terms)
+
+
+def test_parity_preserving_substitution_and_reside_decode_no_monomial(monkeypatch):
+    f = _packed_series([(3, [1, 4, 9], QA, 2, 1), (-2, [5, 12], QA2, 3, 0), (1, [3], QA, 0, 2)])
+    # images of each variable's degree: the default degree check passes
+    assignment = {QA: S(QA, 2) + S(var("a", 1, "q", "plus"), Fraction(1, 3)),
+                  PB: S(var("b", 1, "p", "plus")) - S(PB),
+                  QC: multiply(S(QC), S(QA2)).scale(0) + S(var("c", 1, "q", "plus"), 4)}
+    sided = _sided_series(SIGN_SPEC)
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(algebra, "_runs", spy("_runs", algebra._runs))
+    monkeypatch.setattr(algebra, "_packed", spy("_packed", algebra._packed))
+    got = substitute(f, assignment)
+    moved = [reside(sided, kind="p", side="plus", new_side="middle"),
+             reside(sided, kind="p", side="minus", new_side="plus", orbit_names={"b"}),
+             reside(f, kind="q", side="middle", new_side="minus")]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == _reference_substitute(f, assignment)
+    assert moved[0] == _substitute_reside(sided, kind="p", side="plus", new_side="middle")
+    assert moved[1] == _substitute_reside(sided, kind="p", side="minus", new_side="plus",
+                                          orbit_names={"b"})
+    assert moved[2] == _substitute_reside(f, kind="q", side="middle", new_side="minus")

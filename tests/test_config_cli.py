@@ -845,3 +845,15 @@ def test_count_with_a_large_exponent_prints_exactly(tmp_path):
     code, out, err = run_cli("--config", str(cfg), "check")
     assert (code, err) == (0, "")
     assert out.endswith("summary: 5/5 checks passed\n")
+
+
+def test_an_unreadable_config_file_is_one_parse_error_line(tmp_path):
+    # a directory, and a file whose bytes are not UTF-8: exit 2, no traceback
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"orbit g elliptic theta=3/10 max_iterate=4\n# \xff\n")
+    for path, message in (
+            (tmp_path, "cannot be read: Is a directory"),
+            (binary, "is not UTF-8 text: invalid start byte at byte 44")):
+        for command in ("cz", "check"):
+            assert run_cli("--config", str(path), command) == (
+                2, "", f"error E_PARSE: config file {str(path)!r} {message}\n")
