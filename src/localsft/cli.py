@@ -45,7 +45,8 @@ def _emit(args, headers: list[str], rows: list[list[str]]) -> None:
         print(text)
 
 
-def _load_config(args) -> ConfigDocument:
+def _load_config(args, rows: bool = True) -> ConfigDocument:
+    """The ``--config`` document; a command that reads no count table passes ``rows=False``."""
     if not args.config:
         raise ConfigError("no config file given (use --config <path>)")
     path = Path(args.config)
@@ -60,7 +61,7 @@ def _load_config(args) -> ConfigDocument:
     except OSError as exc:
         raise ConfigError(f"config file {args.config!r} cannot be read: "
                           f"{exc.strerror or exc}") from None
-    doc = parse_config(text)
+    doc = parse_config(text, rows=rows)
     if args.truncation:
         doc.truncation = args.truncation
     return doc
@@ -87,7 +88,7 @@ def _require_in_range(flag: str, value: int, low: int, high: int | None = None) 
 
 def cmd_cz(args) -> int:
     _require_in_range("--max-k", args.max_k, 1, MAX_ITERATE_BOUND)
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     names = args.orbits or [o.name for o in doc.registry.orbits()]
     rows = []
     for name in names:
@@ -108,7 +109,7 @@ def cmd_cz(args) -> int:
 
 
 def cmd_index(args) -> int:
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     rows = []
     for name in sorted(doc.covers):
         spec = doc.covers[name]
@@ -119,7 +120,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_moduli(args) -> int:
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     rows = []
     for name in sorted(doc.covers):
         spec = doc.covers[name]
@@ -149,7 +150,7 @@ def cmd_moduli(args) -> int:
 
 def cmd_strata(args) -> int:
     _require_in_range("--max-codim", args.max_codim, 0)
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     spec = _lookup(doc.covers, "cover", args.cover)
     neck = _lookup(doc.necks, "neck", args.neck).split() if args.neck else None
     graph = cv.boundary_strata(spec, neck=neck, max_codim=args.max_codim)
@@ -224,7 +225,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_exceptional(args) -> int:
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     curve = _lookup(doc.curves, "curve", args.curve)
     inv = ex.exceptional_invariants(curve)
     result = ex.recursion_pipeline(ex.DescendantSpec(curve, 2, 1, (1,)))
@@ -238,7 +239,7 @@ def cmd_exceptional(args) -> int:
 
 
 def cmd_neckstretch(args) -> int:
-    doc = _load_config(args)
+    doc = _load_config(args, rows=False)
     neck = _lookup(doc.necks, "neck", args.neck)
     try:
         equations = ex.splitting_equations(neck)

@@ -35,6 +35,10 @@ cylinders.  ``separating=no`` is parsed and rejected: only separating
 necks are supported.  An error in a statement, an unknown name included,
 is a ``ConfigError`` naming its line and, where the token is known, its
 column: the 1-based column of the token's first character.
+
+Only the commands that read count tables need their rows: the others parse
+with ``rows=False``, which checks every statement and table header as a
+full parse does but only splits the table rows, and leaves ``tables`` empty.
 """
 
 from __future__ import annotations
@@ -60,10 +64,15 @@ class ConfigDocument:
     covers: dict[str, CoverSpec] = field(default_factory=dict)
     tables: dict[str, CountTable] = field(default_factory=dict)
     necks: dict[str, NeckConfiguration] = field(default_factory=dict)
+    # the orbit cylinders by reference, built once: an orbit name never changes meaning
+    _cylinders: dict[str, BaseCurve] = field(default_factory=dict, init=False,
+                                             compare=False, repr=False)
 
     def curve(self, name: str) -> BaseCurve:
         if name.startswith("cyl:"):
-            return cylinder_over(self.registry.get(name[4:]))
+            if name not in self._cylinders:  # an unknown orbit raises, and stores nothing
+                self._cylinders[name] = cylinder_over(self.registry.get(name[4:]))
+            return self._cylinders[name]
         if name not in self.curves:
             raise ConfigError(f"unknown curve {name!r}")
         return self.curves[name]
@@ -137,8 +146,10 @@ def _parse_collection(text: str, lines: _Lines, registry: OrbitRegistry, sign: s
 
 
 class _Lines:
-    def __init__(self, text: str):
+    def __init__(self, text: str, rows: bool):
         self.numbered = enumerate(text.splitlines(), 1)
+        self.rows = rows  # whether table rows are parsed, or each body line only split
+        self.tables: set[str] = set()  # the table names so far, also of unparsed tables
         # parsed collections by (text, sign): a document repeats them (every row of a
         # curve table can share one empty side), a parsed collection is immutable, and
         # orbit names only ever gain meanings as the document goes on
@@ -171,9 +182,18 @@ def _split_kv(tokens: list[tuple[str, int]], line: int) -> dict[str, tuple[str, 
     return out
 
 
-def parse_config(text: str) -> ConfigDocument:
+def parse_config(text: str, *, rows: bool = True) -> ConfigDocument:
+    """The document written ``text``; the first fault in it raises, placed at its line.
+
+    With ``rows=False`` the table rows are not read.  A table header is still checked
+    in full: its name (a duplicate included), its keys, exactly one of ``orbit=`` and
+    ``curve=``, and that the orbit or curve it names exists.  Each body line is only
+    split: one that is not three tokens, or a table with no ``end`` line, still raises.
+    No atom, count or key of a row is read, a row's faults go unreported, and
+    ``doc.tables`` is left empty, so such a document is neither rendered nor compared.
+    """
     doc = ConfigDocument()
-    lines = _Lines(text)
+    lines = _Lines(text, rows)
     saw_truncation = False
     while (item := lines.next_content()) is not None:
         lineno, tokens = item
@@ -285,12 +305,26 @@ def _parse_cover(doc: ConfigDocument, tokens, lineno, lines):
 
 
 def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
-    name = _statement_name(tokens, lineno, "table", doc.tables)
+    name = _statement_name(tokens, lineno, "table", lines.tables)
     kv = _split_kv(tokens[2:], lineno)
     orbit_item, curve_item = kv.pop("orbit", None), kv.pop("curve", None)
     _reject_unknown_keys(kv, "table", lineno)
     if (orbit_item is None) == (curve_item is None):
         raise ConfigError("table statement needs exactly one of orbit=.../curve=...", lineno)
+    lines.tables.add(name)
+    if not lines.rows:  # each body line is only split: no atom, count or key is read
+        for row_line, text in lines.numbered:
+            if (row := text.partition("#")[0].split()) == ["end"]:
+                break
+            if row and len(row) != 3:
+                raise ConfigError("table rows are: <pos> <neg> <count>", row_line, 1)
+        else:
+            raise ConfigError(f"table {name!r} is missing its end line", lineno)
+        if orbit_item is not None:
+            _at(lineno, orbit_item[1], doc.registry.get, orbit_item[0])
+        else:
+            doc.curve(curve_item[0])
+        return
     rows = {}
     while True:
         item = lines.next_content()
@@ -309,12 +343,9 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
         if key in rows:
             raise ConfigError("duplicate table row", row_line, 1)
         rows[key] = (row_line, pos, neg, count)
-    if orbit_item is not None:
-        _at(lineno, orbit_item[1], doc.registry.get, orbit_item[0])
-        table = CountTable("orbit", orbit_item[0], {}, doc.registry)
-    else:
-        table = CountTable("curve", curve_item[0], {}, doc.registry,
-                           base=doc.curve(curve_item[0]))
+    kind, (context, col) = ("orbit", orbit_item) if orbit_item else ("curve", curve_item)
+    base = _at(lineno, col, doc.curve, "cyl:" + context) if orbit_item else doc.curve(context)
+    table = CountTable(kind, context, {}, doc.registry, base=base)
     # each row is validated once, on the collections parsed above, and placed at its line
     for row_line, pos, neg, count in rows.values():
         _at(row_line, 1, table._add, pos, neg, count)

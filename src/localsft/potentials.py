@@ -103,10 +103,10 @@ class CountTable:
         self.context_kind = context_kind
         self.context_name = context_name
         self.registry = registry
-        if context_kind == "orbit":
+        if base is None:
+            if context_kind == "curve":
+                raise InvalidTable("curve tables need the base curve")
             base = cylinder_over(registry.get(context_name))
-        elif base is None:
-            raise InvalidTable("curve tables need the base curve")
         self.base = base
         # the base's numbers for every row; a row that covers its profiles ends on its orbits
         self._profiles = (base.positive_ends.multiplicities, base.negative_ends.multiplicities)

@@ -17,6 +17,7 @@ from localsft.config import _parse_fraction, parse_config, render_config
 from localsft.covers import HURWITZ_BRANCH_POINT_BOUND, HURWITZ_DEGREE_BOUND, hurwitz_count
 from localsft.errors import ConfigError, IterateOutOfRange, LocalSFTError
 from localsft.orbits import OrbitRegistry
+from localsft.potentials import CountTable
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "src" / "localsft" / "data" / "example.cfg"
 
@@ -580,7 +581,8 @@ def test_unknown_names_are_positioned_parse_errors(statement, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("statement, message", [
+# faults placed at their own token, after the line "orbit g elliptic theta=3/10 max_iterate=4"
+_COLUMN_CASES = [
     ("curve c index=0 pos=(g) pos=(g)", "line 2 col 25: duplicate key 'pos'"),
     ("curve c index=0 pos=(g) s=(g)", "line 2 col 25: unknown curve key 's'"),
     ("table T orbit=g\n(g) () g\nend", "line 3 col 8: expected a rational number, got 'g'"),
@@ -604,9 +606,14 @@ def test_unknown_names_are_positioned_parse_errors(statement, message):
     # the atom g^5 first occurs on line 4: a rejected atom is resolved again where it recurs
     ("table T orbit=g\n(g) (g) 1\n(g^5) (g^5) 1\nend",
      "line 4 col 1: g^5: beyond declared bound max_iterate=4"),
-], ids=["repeated-token", "suffix-of-earlier-token", "table-row", "bad-iterate-row",
-        "odd-repeat-row", "unequal-degrees-row", "degree-zero-row", "not-a-multiple-row",
-        "closed-curve-row", "negative-ramification-row", "duplicate-row", "iterate-range-row"])
+]
+_COLUMN_IDS = ["repeated-token", "suffix-of-earlier-token", "table-row", "bad-iterate-row",
+               "odd-repeat-row", "unequal-degrees-row", "degree-zero-row", "not-a-multiple-row",
+               "closed-curve-row", "negative-ramification-row", "duplicate-row",
+               "iterate-range-row"]
+
+
+@pytest.mark.parametrize("statement, message", _COLUMN_CASES, ids=_COLUMN_IDS)
 def test_error_column_is_that_of_the_token_itself(statement, message):
     # not that of an earlier token with the same text, or containing it
     with pytest.raises(LocalSFTError) as err:
@@ -615,6 +622,98 @@ def test_error_column_is_that_of_the_token_itself(statement, message):
     assert type(err.value) is (IterateOutOfRange if "beyond declared bound" in message
                                else ConfigError)
     assert str(err.value) == message
+
+
+# the commands that read no table row, and those that read them, with arguments for example.cfg
+_ROWLESS_COMMANDS = [["cz"], ["index"], ["moduli"], ["strata", "cyl_pair"],
+                     ["neckstretch", "stretch"], ["exceptional", "v"]]
+_ROW_COMMANDS = [["check"], ["potential", "F_vminus"], ["hamiltonian", "H_gamma"],
+                 ["compose", "F_vminus", "F_vminus", "--middle", "gamma"]]
+_ROW_CASES = [(case, id_) for case, id_ in zip(_COLUMN_CASES, _COLUMN_IDS) if "table " in case[0]]
+
+
+@pytest.mark.parametrize("statement, message", [case for case, _ in _ROW_CASES],
+                         ids=[id_ for _, id_ in _ROW_CASES])
+def test_a_row_fault_fails_only_the_commands_that_read_rows(tmp_path, statement, message):
+    # the faulty table ahead of example.cfg keeps the lines of the message
+    prefix = "orbit g elliptic theta=3/10 max_iterate=4\n"
+    faulty, clean = tmp_path / "faulty.cfg", tmp_path / "clean.cfg"
+    faulty.write_text(f"{prefix}{statement}\n{EXAMPLE.read_text()}")
+    clean.write_text(prefix + statement[:statement.index("table ")] + EXAMPLE.read_text())
+    for command in _ROWLESS_COMMANDS:
+        want = run_cli("--config", str(clean), *command)
+        assert want[0] == 0, (command, want)
+        assert run_cli("--config", str(faulty), *command) == want, command
+    code, exit_code = (("E_ITERATE_RANGE", 1) if "beyond declared bound" in message
+                       else ("E_PARSE", 2))
+    for command in _ROW_COMMANDS:
+        assert run_cli("--config", str(faulty), *command) == (
+            exit_code, "", f"error {code}: {message}\n"), command
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("table T orbit=g\n(g) (g) 1", "line {0}: table 'T' is missing its end line"),
+    ("table T orbit=g\n(g) (g)\nend", "line {1} col 1: table rows are: <pos> <neg> <count>"),
+    ("table T orbit=g\n(g) (g) 1 1\nend", "line {1} col 1: table rows are: <pos> <neg> <count>"),
+    ("table T orbit=nosuch\n(g) (g) 1\nend", "line {0} col 9: unknown orbit 'nosuch'"),
+    ("table T curve=nosuch\n(g) () 1\nend", "line {0}: unknown curve 'nosuch'"),
+    ("table T orbit=g curve=vminus\nend",
+     "line {0}: table statement needs exactly one of orbit=.../curve=..."),
+    ("table T\nend", "line {0}: table statement needs exactly one of orbit=.../curve=..."),
+    ("table F_vminus curve=vminus\nend", "line {0}: duplicate table name 'F_vminus'"),
+], ids=["missing-end", "two-tokens", "four-tokens", "unknown-orbit", "unknown-curve",
+        "both-contexts", "no-context", "duplicate-name"])
+def test_a_table_fault_outside_its_rows_fails_every_command(tmp_path, statement, message):
+    # after example.cfg, so that a table without end runs to the end of the document
+    text = "orbit g elliptic theta=3/10 max_iterate=4\n" + EXAMPLE.read_text()
+    first = text.count("\n") + 1
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(f"{text}{statement}\n")
+    want = (2, "", f"error E_PARSE: {message.format(first, first + 1)}\n")
+    for command in _ROWLESS_COMMANDS + _ROW_COMMANDS:
+        assert run_cli("--config", str(cfg), *command) == want, command
+
+
+def test_a_row_fault_precedes_later_faults_only_where_rows_are_read(tmp_path):
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("orbit z hyperbolic cz1=1\ntable T orbit=z\n(z) (z) 1\n(z^2) (z^2) 1\nend\n"
+                   "cover c base=nosuch degree=1\n")
+    assert run_cli("--config", str(cfg), "check") == (
+        2, "", "error E_PARSE: line 4 col 1: key (z^2)|(z^2): bad iterate z^2 carries no "
+               "variables\n")
+    assert run_cli("--config", str(cfg), "cz") == (
+        2, "", "error E_PARSE: line 6 col 9: unknown curve 'nosuch'\n")
+
+
+def test_rowless_commands_read_no_table_row(monkeypatch):
+    lines = EXAMPLE.read_text().splitlines()
+    bodies, inside = set(), False
+    for number, line in enumerate(lines, 1):
+        inside = line.startswith("table ") or (inside and line != "end")
+        if inside and not line.startswith("table "):
+            bodies.add(number)
+    added, parsed_at = [], []
+    add, parse_collection = CountTable._add, config._parse_collection
+    monkeypatch.setattr(CountTable, "_add", lambda self, *args: (
+        added.append(args), add(self, *args))[1])
+    monkeypatch.setattr(config, "_parse_collection", lambda text, lines, registry, sign, line, col: (
+        parsed_at.append(line), parse_collection(text, lines, registry, sign, line, col))[1])
+    for command in (["cz"], ["strata", "cyl_pair"]):
+        assert run_cli("--config", str(EXAMPLE), *command)[0] == 0
+    assert added == [] and parsed_at and not bodies & set(parsed_at)
+    # the spies see the rows of a command that reads them
+    assert run_cli("--config", str(EXAMPLE), "potential", "F_vminus")[0] == 0
+    assert len(added) == 1 and bodies & set(parsed_at)
+
+
+def test_orbit_cylinders_are_built_once_per_document():
+    doc = parse_config("orbit g elliptic theta=3/10 max_iterate=4\n"
+                       "cover a base=cyl:g degree=2 pos=(g,g) neg=(g,g)\n"
+                       "cover b base=cyl:g degree=1 pos=(g) neg=(g)\n"
+                       "table T orbit=g\n(g) (g) 1\nend\n")
+    assert doc.covers["a"].base is doc.covers["b"].base is doc.tables["T"].base
+    assert doc.curve("cyl:g") is doc.tables["T"].base
+    assert parse_config(render_config(doc)) == doc
 
 
 @pytest.mark.parametrize("name", ["cyl(g)", "cyl:g"])
