@@ -32,9 +32,11 @@ empty exponent, as in ``(a^)``, are errors at the collection's column.
 ``theta`` and ``max_iterate`` are elliptic-only, ``cz1`` is hyperbolic-only.
 Curve names starting ``cyl:`` or ``cyl(`` are reserved for orbit
 cylinders.  ``separating=no`` is parsed and rejected: only separating
-necks are supported.  An error in a statement, an unknown name included,
-is a ``ConfigError`` naming its line and, where the token is known, its
-column: the 1-based column of the token's first character.
+necks are supported.  An error in a statement is a ``ConfigError`` naming
+its line and, where one token is at fault, its column: the 1-based column
+of that token's first character.  Every name a statement references is
+placed at its token: ``cover base=``, ``table orbit=``/``curve=``, ``neck
+orbits=``/``plus=``/``minus=``, and an atom at its collection's column.
 
 Only the commands that read count tables need their rows: the others parse
 with ``rows=False``, which checks every statement and table header as a
@@ -157,17 +159,15 @@ class _Lines:
         # resolved atoms by text, for the same reasons: ``e0^2`` recurs in many collections
         self.atoms: dict[str, OrbitIterate] = {}
 
-    def next_content(self) -> tuple[int, list[tuple[str, int]]] | None:
-        """The number and the tokens of the next line that has any, comments cut."""
-        for lineno, line in self.numbered:
-            line, tokens, col = line.partition("#")[0], [], 0
-            for token in line.split():  # found from the previous token's end: its own column
-                col = line.index(token, col)
-                tokens.append((token, col + 1))
-                col += len(token)
-            if tokens:
-                return lineno, tokens
-        return None
+
+def _tokens(line: str) -> list[tuple[str, int]]:
+    """The tokens of ``line``, comments cut, each with its 1-based column."""
+    line, tokens, col = line.partition("#")[0], [], 0
+    for token in line.split():  # found from the previous token's end: its own column
+        col = line.index(token, col)
+        tokens.append((token, col + 1))
+        col += len(token)
+    return tokens
 
 
 def _split_kv(tokens: list[tuple[str, int]], line: int) -> dict[str, tuple[str, int]]:
@@ -195,8 +195,9 @@ def parse_config(text: str, *, rows: bool = True) -> ConfigDocument:
     doc = ConfigDocument()
     lines = _Lines(text, rows)
     saw_truncation = False
-    while (item := lines.next_content()) is not None:
-        lineno, tokens = item
+    for lineno, line in lines.numbered:
+        if not (tokens := _tokens(line)):
+            continue
         head, col0 = tokens[0]
         if head == "truncation":
             if len(tokens) != 2:
@@ -312,44 +313,31 @@ def _parse_table(doc: ConfigDocument, tokens, lineno, lines: _Lines):
     if (orbit_item is None) == (curve_item is None):
         raise ConfigError("table statement needs exactly one of orbit=.../curve=...", lineno)
     lines.tables.add(name)
-    if not lines.rows:  # each body line is only split: no atom, count or key is read
-        for row_line, text in lines.numbered:
-            if (row := text.partition("#")[0].split()) == ["end"]:
-                break
-            if row and len(row) != 3:
-                raise ConfigError("table rows are: <pos> <neg> <count>", row_line, 1)
-        else:
-            raise ConfigError(f"table {name!r} is missing its end line", lineno)
-        if orbit_item is not None:
-            _at(lineno, orbit_item[1], doc.registry.get, orbit_item[0])
-        else:
-            doc.curve(curve_item[0])
-        return
     rows = {}
-    while True:
-        item = lines.next_content()
-        if item is None:
-            raise ConfigError(f"table {name!r} is missing its end line", lineno)
-        row_line, row = item
-        if len(row) == 1 and row[0][0] == "end":
+    for row_line, line in lines.numbered:
+        if (row := line.partition("#")[0].split()) == ["end"]:
             break
-        if len(row) != 3:
+        if row and len(row) != 3:
             raise ConfigError("table rows are: <pos> <neg> <count>", row_line, 1)
-        (pos_text, pos_col), (neg_text, neg_col), (count_text, count_col) = row
-        pos = _parse_collection(pos_text, lines, doc.registry, "positive", row_line, pos_col)
-        neg = _parse_collection(neg_text, lines, doc.registry, "negative", row_line, neg_col)
-        count = _parse_fraction(count_text, row_line, count_col)
-        key = (pos.key(), neg.key())
-        if key in rows:
-            raise ConfigError("duplicate table row", row_line, 1)
-        rows[key] = (row_line, pos, neg, count)
+        if row and lines.rows:  # else the line is only split: no atom, count or key is read
+            (pos_text, pos_col), (neg_text, neg_col), (count_text, count_col) = _tokens(line)
+            pos = _parse_collection(pos_text, lines, doc.registry, "positive", row_line, pos_col)
+            neg = _parse_collection(neg_text, lines, doc.registry, "negative", row_line, neg_col)
+            count = _parse_fraction(count_text, row_line, count_col)
+            key = (pos.key(), neg.key())
+            if key in rows:
+                raise ConfigError("duplicate table row", row_line, 1)
+            rows[key] = (row_line, pos, neg, count)
+    else:
+        raise ConfigError(f"table {name!r} is missing its end line", lineno)
     kind, (context, col) = ("orbit", orbit_item) if orbit_item else ("curve", curve_item)
-    base = _at(lineno, col, doc.curve, "cyl:" + context) if orbit_item else doc.curve(context)
-    table = CountTable(kind, context, {}, doc.registry, base=base)
-    # each row is validated once, on the collections parsed above, and placed at its line
-    for row_line, pos, neg, count in rows.values():
-        _at(row_line, 1, table._add, pos, neg, count)
-    doc.tables[name] = table
+    base = _at(lineno, col, doc.curve, "cyl:" + context if orbit_item else context)
+    if lines.rows:
+        table = CountTable(kind, context, {}, doc.registry, base=base)
+        # each row is validated once, on the collections parsed above, and placed at its line
+        for row_line, pos, neg, count in rows.values():
+            _at(row_line, 1, table._add, pos, neg, count)
+        doc.tables[name] = table
 
 
 def _parse_neck(doc: ConfigDocument, tokens, lineno, lines):
@@ -365,7 +353,8 @@ def _parse_neck(doc: ConfigDocument, tokens, lineno, lines):
         raise ConfigError("neck needs at least one orbit", lineno, orbits_item[1])
     orbits = tuple(_at(lineno, orbits_item[1], doc.registry.get, oname)
                    for oname in orbit_names)
-    side_plus, side_minus = doc.curve(plus_item[0]), doc.curve(minus_item[0])
+    side_plus = _at(lineno, plus_item[1], doc.curve, plus_item[0])
+    side_minus = _at(lineno, minus_item[1], doc.curve, minus_item[0])
     separating = True if sep_item is None else _parse_bool(sep_item[0], lineno, sep_item[1])
     doc.necks[name] = NeckConfiguration(name, orbits, side_plus, side_minus, separating)
 

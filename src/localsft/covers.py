@@ -356,7 +356,6 @@ class StratumEdge:
 
 @dataclass
 class StrataGraph:
-    root: str
     nodes: dict[str, StratumNode] = field(default_factory=dict)
     edges: list[StratumEdge] = field(default_factory=list)
 
@@ -578,7 +577,7 @@ def boundary_strata(spec: CoverSpec, neck: NeckSplit | None = None,
     # a node is keyed by (level, marks, components, tag) and made once
     key = (root_level, (spec.marked_points, spec.constrained_branch_points), 1, MIDDLE)
     root = nodes[key] = _make_node(key)
-    graph = StrataGraph(root=root.node_id, nodes={root.node_id: root})
+    graph = StrataGraph(nodes={root.node_id: root})
     queue, nodes_by_id, edges = [(root, 0)], graph.nodes, graph.edges
     for parent, codim in queue:
         parent_level, parent_marks, components, _ = parent._made

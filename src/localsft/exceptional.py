@@ -108,7 +108,6 @@ def render_records(steps: tuple[DerivationStep, ...]) -> str:
 
 @dataclass(frozen=True)
 class ExceptionalInvariants:
-    c_N: int
     self_intersection: int
     c1: int
 
@@ -140,7 +139,7 @@ def exceptional_invariants(base: BaseCurve) -> ExceptionalInvariants:
         raise NotExceptional(
             f"curve {base.name}: declared doubled Chern number {base.rel_c1_doubled} "
             f"disagrees with the derived value {2 * c1}")
-    inv = ExceptionalInvariants(c_N=c_n, self_intersection=c_n, c1=c1)
+    inv = ExceptionalInvariants(self_intersection=c_n, c1=c1)
     for d in range(1, 6):
         got = fredholm_index(CoverSpec(base, d))
         if got != inv.cover_index(d):
@@ -335,7 +334,6 @@ class ModuliSymbol:
     """A symbolic cover count with its index/dimension/rank annotations."""
 
     label: str
-    spec: CoverSpec
     index: int
     dimension: int
     obstruction_rank: int | None
@@ -373,7 +371,6 @@ class SplittingEquations:
 def _moduli_symbol(spec: CoverSpec) -> ModuliSymbol:
     return ModuliSymbol(
         label=spec.describe(),
-        spec=spec,
         index=fredholm_index(spec),
         dimension=tangency_dimension(spec),
         obstruction_rank=obstruction_rank(spec),
@@ -409,18 +406,15 @@ def splitting_equations(neck: NeckConfiguration) -> SplittingEquations:
     defect = cz_defect(gamma, 1, 1)
     g1 = gamma.iterate(1)
     g2 = gamma.iterate(2)
-    pair = OrbitCollection((g1, g1))
-    double = OrbitCollection((g2,))
-
     plane_plus = CoverSpec(neck.side_plus, 2,
-                           negative_ends=OrbitCollection(double.items, sign="negative"))
+                           negative_ends=OrbitCollection((g2,), sign="negative"))
     plane_minus = CoverSpec(neck.side_minus, 2,
-                            positive_ends=OrbitCollection(double.items, sign="positive"))
+                            positive_ends=OrbitCollection((g2,), sign="positive"))
     marked_plus = CoverSpec(neck.side_plus, 2,
-                            negative_ends=OrbitCollection(pair.items, sign="negative"),
+                            negative_ends=OrbitCollection((g1, g1), sign="negative"),
                             marked_points=1, constrained_branch_points=1)
     marked_minus = CoverSpec(neck.side_minus, 2,
-                             positive_ends=OrbitCollection(pair.items, sign="positive"),
+                             positive_ends=OrbitCollection((g1, g1), sign="positive"),
                              marked_points=1, constrained_branch_points=1)
 
     indices = (("plus", fredholm_index(plane_plus)), ("minus", fredholm_index(plane_minus)))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
-from math import prod
 from operator import attrgetter, itemgetter
 
 from .errors import (BadOrbit, ConfigError, InvalidOrbit, InvalidVariable, IterateOutOfRange,
@@ -211,11 +210,6 @@ class OrbitCollection:
 
     def __iter__(self):
         return iter(self.items)
-
-    @property
-    def kappa(self) -> int:
-        """Product of the multiplicities of all members."""
-        return prod(it.k for it in self.items)
 
     def total_multiplicity(self, orbit: ReebOrbit | None = None) -> int:
         totals = self.multiplicities

@@ -316,10 +316,11 @@ def assert_hamiltonian_vanishes(h: Potential) -> VanishingReport:
     """
     if h.series.is_zero():
         return VanishingReport("pass", (), "series vanishes identically")
-    offenders = tuple(render_monomial(m) for m, _ in h.series.terms())
+    monomials = [mono for mono, _ in h.series.terms()]
+    offenders = tuple(map(render_monomial, monomials))
     if h.source is not None:
         flagged = {key for key, ok in h.source.hypothesis_ok.items() if not ok}
-        keys = {_monomial_key(mono, h) for mono, _ in h.series.terms()}
+        keys = {_monomial_key(mono, h) for mono in monomials}
         if keys <= flagged:
             return VanishingReport(
                 "warn", offenders,

@@ -570,9 +570,9 @@ def test_iterate_beyond_max_iterate_in_a_collection_keeps_its_code(tmp_path):
 @pytest.mark.parametrize("statement, message", [
     ("cover c base=nosuch degree=1", "line 2 col 9: unknown curve 'nosuch'"),
     ("cover c base=cyl:nosuch degree=1", "line 2 col 9: unknown orbit 'nosuch'"),
-    ("table T curve=nosuch\nend", "line 2: unknown curve 'nosuch'"),
+    ("table T curve=nosuch\nend", "line 2 col 9: unknown curve 'nosuch'"),
     ("table T orbit=nosuch\nend", "line 2 col 9: unknown orbit 'nosuch'"),
-    ("neck n orbits=(g) plus=cyl:g minus=nosuch", "line 2: unknown curve 'nosuch'"),
+    ("neck n orbits=(g) plus=cyl:g minus=nosuch", "line 2 col 30: unknown curve 'nosuch'"),
     ("neck n orbits=(g,nosuch) plus=cyl:g minus=cyl:g", "line 2 col 8: unknown orbit 'nosuch'"),
 ], ids=["cover", "cover-cylinder", "curve-table", "orbit-table", "neck-side", "neck-orbit"])
 def test_unknown_names_are_positioned_parse_errors(statement, message):
@@ -656,7 +656,7 @@ def test_a_row_fault_fails_only_the_commands_that_read_rows(tmp_path, statement,
     ("table T orbit=g\n(g) (g)\nend", "line {1} col 1: table rows are: <pos> <neg> <count>"),
     ("table T orbit=g\n(g) (g) 1 1\nend", "line {1} col 1: table rows are: <pos> <neg> <count>"),
     ("table T orbit=nosuch\n(g) (g) 1\nend", "line {0} col 9: unknown orbit 'nosuch'"),
-    ("table T curve=nosuch\n(g) () 1\nend", "line {0}: unknown curve 'nosuch'"),
+    ("table T curve=nosuch\n(g) () 1\nend", "line {0} col 9: unknown curve 'nosuch'"),
     ("table T orbit=g curve=vminus\nend",
      "line {0}: table statement needs exactly one of orbit=.../curve=..."),
     ("table T\nend", "line {0}: table statement needs exactly one of orbit=.../curve=..."),

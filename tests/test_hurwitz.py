@@ -173,6 +173,48 @@ def test_character_formula_matches_enumeration(case):
     assert hurwitz_count(d, profiles, b) == _hurwitz_by_enumeration(d, profiles, b)
 
 
+def _aut(mu):
+    """|Aut mu|: the product of the factorials of the part multiplicities."""
+    return prod(factorial(mu.count(part)) for part in set(mu))
+
+
+def _genus_zero(mu):
+    """One profile mu, genus 0 (Hurwitz 1891; Goulden and Jackson, Proc. AMS 1997)."""
+    d, n = sum(mu), len(mu)
+    return (Fraction(factorial(d + n - 2) * prod(m ** m for m in mu),
+                     prod(map(factorial, mu)) * _aut(mu)) * Fraction(d) ** (n - 3))
+
+
+def _genus_one(mu):
+    """One profile mu, genus 1 (Vakil, Trans. AMS 2001)."""
+    d, n = sum(mu), len(mu)
+    e = [1]  # e[k]: the k-th elementary symmetric polynomial of the parts
+    for m in mu:
+        e = [low + m * high for low, high in zip(e + [0], [0] + e)]
+    bracket = d ** n - d ** (n - 1) - sum(factorial(k - 2) * d ** (n - k) * e[k]
+                                          for k in range(2, n + 1))
+    return Fraction(factorial(d + n) * prod(m ** m for m in mu) * bracket,
+                    24 * prod(map(factorial, mu)) * _aut(mu))
+
+
+def _sinh_ratio(scale, terms):
+    """S(scale t), S(t) = sinh(t/2)/(t/2): its coefficients of t^0, t^2, ..."""
+    return [Fraction(scale ** (2 * j), 4 ** j * factorial(2 * j + 1)) for j in range(terms)]
+
+
+def _one_part_double(beta, g):
+    """Profiles (d) and beta, genus g (Goulden, Jackson and Vakil, Adv. Math. 2005)."""
+    d, b = sum(beta), 2 * g - 1 + len(beta)
+    series = [Fraction(1)] + [Fraction(0)] * g
+    for scale in beta:
+        factor = _sinh_ratio(scale, g + 1)
+        series = [sum(series[i] * factor[k - i] for i in range(k + 1)) for k in range(g + 1)]
+    sinh = _sinh_ratio(1, g + 1)
+    for k in range(1, g + 1):  # divide by S(t), whose constant term is 1
+        series[k] -= sum(sinh[i] * series[k - i] for i in range(1, k + 1))
+    return factorial(b) * Fraction(d) ** (b - 1) * series[g] / _aut(beta)
+
+
 @pytest.mark.parametrize("d", range(7, 13))
 def test_closed_forms_beyond_enumeration(d):
     # polynomial covers (Hurwitz / Cayley) and all-simple genus-zero covers
@@ -180,6 +222,13 @@ def test_closed_forms_beyond_enumeration(d):
     assert hurwitz_count(d, [(d,)], d - 1) == d ** (d - 3)
     assert hurwitz_count(d, [], 2 * d - 2) == Fraction(
         factorial(2 * d - 2) * d ** (d - 3), factorial(d))
+    # every profile mu of d: one branched point in genus 0 and 1, and opposite (d)
+    for mu in partitions(d):
+        n = len(mu)
+        assert hurwitz_count(d, [mu], d + n - 2) == _genus_zero(mu), mu
+        assert hurwitz_count(d, [mu], d + n) == _genus_one(mu), mu
+        for g in range(3):
+            assert hurwitz_count(d, [(d,), mu], 2 * g - 1 + n) == _one_part_double(mu, g), (mu, g)
 
 
 def test_simple_branching_in_degrees_two_and_three_up_to_the_bound():

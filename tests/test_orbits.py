@@ -115,12 +115,10 @@ class TestCollections:
     def test_kappa_is_product_of_multiplicities(self):
         orbit = elliptic(Fraction(3, 10))
         coll = OrbitCollection((orbit.iterate(2), orbit.iterate(3), orbit.iterate(1)))
-        assert coll.kappa == 6
         assert coll.total_multiplicity() == 6
         assert coll.key() == (("gamma", 1), ("gamma", 2), ("gamma", 3))
 
     def test_empty_collection(self):
-        assert OrbitCollection(()).kappa == 1
         assert len(OrbitCollection(())) == 0
 
 
