@@ -30,10 +30,10 @@ A stored numerator is the coefficient of the monomial's letters written in
 *field* order.  ``_packed`` packs a monomial written as (slot, exponent)
 runs in any order and gives the Koszul sign that takes it to field order;
 ``_runs`` reads the runs back.  The constructor, ``coefficient()``,
-``terms()`` (and so rendering), ``potentials.identity_series`` and the
-substitution of parity-breaking images convert through ``_packed``, so the
-order in which a process met its slots never reaches output; ``reside`` and
-the substitution of parity-preserving images decode no monomial.  ``Variable``, ``terms()``,
+``terms()`` (and so rendering) and the substitution of parity-breaking
+images convert through ``_packed``, so the order in which a process met its
+slots never reaches output; ``reside`` and the substitution of
+parity-preserving images decode no monomial.  ``Variable``, ``terms()``,
 ``coefficient()`` and the constructor speak ``((Variable, exponent), ...)``
 monomials, and ``terms()`` lists them in canonical order.
 
@@ -694,10 +694,12 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
     """The substitution kernel: ``terms`` with each slot of ``images`` replaced.
 
     ``images`` maps a slot to the numerators and denominator of its image.
-    Returns the numerators of the result, zeros included, and the ``lift``:
-    the result is over the input's denominator times ``lift``.  Monomials
-    with no slot of ``images`` (no letter in the mask of their fields) pass
-    through, scaled by ``lift``; see ``substitute`` for the denominator.
+    Returns the numerators of the result, zeros possibly included, and the
+    ``lift``: the result is over the input's denominator times ``lift``.
+    Monomials with no slot of ``images`` (no letter in the mask of their
+    fields) pass through, scaled by ``lift``; see ``substitute`` for the
+    denominator.  Given an ``order``, the result has no term of more than
+    ``order`` letters, passed-through terms and each part's product included.
 
     When every image term has its slot's parity, substitution is a homomorphism
     and needs no decoding: a code is ``s * x_rest * x_part``, its untouched
@@ -705,10 +707,8 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
     each with its sign ``s``, multiply the part's image once.  Other images
     go through ``_substitute_canonical``, which defines their result.
 
-    With an ``order``, for callers that keep only result terms of at most
-    ``order`` letters, a partial product longer than that is dropped after
-    each product: letters only add up, so it feeds no kept term.  Terms
-    passed through, and a part's image times its rests, are not filtered.
+    With an ``order``, a partial product longer than that is also dropped
+    after each product: letters only add up, so it feeds no kept term.
     """
     if not _preserves_parity(images):
         return _substitute_canonical(terms, images, truncation, order)
@@ -755,13 +755,13 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
         rests = {code - drop: -coeff * scale if (below & code).bit_count() & 1 else coeff * scale
                  for code, coeff in rows}
         _add_product(out, rests, right or _right(product), truncation)
-    return out, lift
+    return (out if order is None else _kept(out, order)), lift
 
 
 def _substitute_canonical(terms: PackedTerms, images: dict[int, tuple[PackedTerms, int]],
                           truncation: int, order: int | None = None
                           ) -> tuple[PackedTerms, int]:
-    """``_substitute_slots`` by images multiplied in canonical monomial order."""
+    """``_substitute_slots``, with its ``order`` cut, by images multiplied in canonical order."""
     mask = _mask(images)
     passed: list[tuple[int, int]] = []
     moved: list[tuple[list[tuple[int, int]], int]] = []  # (runs in canonical order, numerator)
@@ -801,7 +801,7 @@ def _substitute_canonical(terms: PackedTerms, images: dict[int, tuple[PackedTerm
                 break
         for m, c in acc.items():
             out[m] = out.get(m, 0) + c
-    return out, lift
+    return (out if order is None else _kept(out, order)), lift
 
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,

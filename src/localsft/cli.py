@@ -197,11 +197,10 @@ def cmd_hamiltonian(args) -> int:
 def cmd_potential(args) -> int:
     doc = _load_config(args)
     potential = _build_potential(doc, args.table)
-    rows = [["series", potential.render()]]
-    back = pt.potential_to_counts(potential)
-    rows.append(["weight_roundtrip", "pass" if back == potential.source else "fail"])
-    _emit(args, ["field", "value"], rows)
-    return 0
+    passed = pt.potential_to_counts(potential) == potential.source
+    _emit(args, ["field", "value"], [["series", potential.render()],
+                                     ["weight_roundtrip", "pass" if passed else "fail"]])
+    return 0 if passed else 1
 
 
 def cmd_compose(args) -> int:

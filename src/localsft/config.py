@@ -204,9 +204,10 @@ def parse_config(text: str, *, rows: bool = True) -> ConfigDocument:
                 raise ConfigError("truncation takes exactly one value", lineno, col0)
             if saw_truncation:
                 raise ConfigError("duplicate truncation statement", lineno, col0)
-            doc.truncation = _parse_int(tokens[1][0], lineno, tokens[1][1])
+            value, col = tokens[1]
+            doc.truncation = _parse_int(value, lineno, col)
             if doc.truncation < 1:
-                raise ConfigError("truncation must be positive", lineno, col0)
+                raise ConfigError("truncation must be positive", lineno, col)
             saw_truncation = True
             continue
         parse = _STATEMENTS.get(head)

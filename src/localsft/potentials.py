@@ -13,13 +13,13 @@ total external degree; failure to stabilize is reported, never forced.
 A pass sets ``p_{k+1} = F(q_k)`` and ``q_{k+1} = G(p_k)``, so a half whose
 input did not move in the previous pass keeps its value without being
 recomputed; the passes, and the iterate at which the fixed point is
-declared, are those of recomputing both halves every time.  Each right
-side is split once into a settled part, the terms with no letter of its
-half's input, and a live part: the first pass, from zero inputs, is the
-settled parts, a half with no live terms is never recomputed, and later
-passes substitute into the live parts only.  The composed value is the
-critical value of ``F- + F+ - sum kappa^-1 q p``, read off by the graded
-Euler identity when the solution keeps its variables' parities (see
+declared, are those of recomputing both halves every time.  The first
+pass, from zero inputs, is each right side's settled terms, those with no
+letter of its half's input; a half with no live terms is never recomputed,
+and a later pass substitutes into the whole right side, whose settled terms
+the substitution kernel passes through.  The composed value is the critical
+value of ``F- + F+ - sum kappa^-1 q p``, read off by the graded Euler
+identity when the solution keeps its variables' parities (see
 ``compose_sharp``).
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import itemgetter
 
 from .algebra import (
@@ -40,10 +40,8 @@ from .algebra import (
     PackedTerms,
     Variable,
     _add_pairing,
-    _check_truncation,
     _conjugate_pairs,
     _kappa,
-    _kept,
     _mask,
     _ordered,
     _packed,
@@ -338,18 +336,14 @@ def identity_series(iterates: list[OrbitIterate], registry: OrbitRegistry,
                     truncation: int, q_side: str, p_side: str) -> GradedSeries:
     """``sum kappa^{-1} q p`` over the given iterates: the unit for ``#``.
 
-    Each iterate adds its packed ``q p``, with the sign that takes that
-    written order to field order, over the common denominator ``lcm(kappa)``.
+    The constructor sorts each ``q p`` with its Koszul sign; a repeated
+    iterate adds up.
     """
-    _check_truncation(truncation)
-    var = _slots(registry)
-    den = lcm(*(it.k for it in iterates))
-    terms: PackedTerms = {}
+    terms: dict[Monomial, Fraction] = {}
     for it in iterates:
-        mono, sign = _packed(((var.slot(Variable(it, "q", q_side)), 1),
-                              (var.slot(Variable(it, "p", p_side)), 1)))
-        terms[mono] = terms.get(mono, 0) + sign * (den // it.k)
-    return GradedSeries._of_packed(registry, truncation, terms, den)
+        mono = ((Variable(it, "q", q_side), 1), (Variable(it, "p", p_side), 1))
+        terms[mono] = terms.get(mono, 0) + Fraction(1, it.k)
+    return GradedSeries(registry, truncation, terms)
 
 
 def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
@@ -359,50 +353,36 @@ def identity_potential(iterates: list[OrbitIterate], registry: OrbitRegistry,
                      q_side=q_side, p_side=p_side)
 
 
-def _external_truncate(series: GradedSeries, order: int) -> GradedSeries:
-    terms = _kept(series._terms, order)
-    return GradedSeries._of_packed(series.registry, series.truncation, terms, series._den)
-
-
 # slot -> reduced (numerators, denominator) of its image
 _Images = dict[int, tuple[PackedTerms, int]]
 
-# the right side of one middle variable: (first pass value, settled part, live part,
-# denominator); the first pass value is the reduced settled part, the parts are
-# numerators over the denominator
-_Rhs = tuple[tuple[PackedTerms, int], PackedTerms, PackedTerms, int]
+# the right side of one middle variable: (first pass value, numerators, whether a term
+# is live, denominator); the first pass value is the reduced settled terms
+_Rhs = tuple[tuple[PackedTerms, int], PackedTerms, bool, int]
 
 
 def _split_rhs(terms: PackedTerms, den: int, kappa: int, inputs: int, order: int) -> _Rhs:
-    """``kappa * terms / den`` split into its settled terms, free of ``inputs``, and live ones.
+    """``kappa * terms / den`` with its settled terms, free of ``inputs``, as its first pass.
 
-    ``inputs`` is the field mask of the input slots.  A settled term beyond
-    ``order`` letters is dropped: no pass keeps it.
+    ``inputs`` is the field mask of the input slots; a term with a letter of
+    them is live.  A settled term beyond ``order`` letters is in no pass.
     """
-    settled: PackedTerms = {}
-    live: PackedTerms = {}
-    for mono, coeff in terms.items():
-        if not mono & inputs:
-            if mono & _LETTERS <= order:
-                settled[mono] = coeff * kappa
-        else:
-            live[mono] = coeff * kappa
-    return _reduced(settled, den), settled, live, den
+    terms = {mono: coeff * kappa for mono, coeff in terms.items()}
+    settled = {m: c for m, c in terms.items() if not m & inputs and m & _LETTERS <= order}
+    return _reduced(settled, den), terms, any(m & inputs for m in terms), den
 
 
 def _picard_half(rhs: dict[int, _Rhs], images: _Images, truncation: int,
                  order: int) -> _Images:
-    """One half of a Picard pass: the settled part plus the live part substituted."""
+    """One half of a Picard pass: each live right side with the inputs substituted."""
     moving = any(terms for terms, _ in images.values())
     out = {}
-    for slot, (first, settled, live, den) in rhs.items():
+    for slot, (first, terms, live, den) in rhs.items():
         if not (live and moving):  # zero inputs zero every live term
             out[slot] = first
             continue
-        terms, lift = _substitute_slots(live, images, truncation, order)
-        for mono, coeff in settled.items():
-            terms[mono] = terms.get(mono, 0) + coeff * lift
-        out[slot] = _reduced(_kept(terms, order), den * lift)
+        terms, lift = _substitute_slots(terms, images, truncation, order)
+        out[slot] = _reduced(terms, den * lift)
     return out
 
 
@@ -421,13 +401,12 @@ def _solve_slots(f_minus: GradedSeries, f_plus: GradedSeries,
                  middle: list[OrbitIterate], order: int) -> tuple[_Images, _Images]:
     """Solve ``p~ = kappa dL F+/dq~`` and ``q~ = kappa dR F-/dp~`` by Picard passes.
 
-    The middle slots are resolved once.  Each right side is split once into
-    a settled part, whose terms have no letter of the half's input, and a
-    live part.  The first pass substitutes zero inputs, so it is the settled
-    parts; a later pass substitutes the current inputs into the live parts
-    only, and only for a half whose input moved in the previous pass and
-    that has live terms.  Returns the q~ and p~ solutions by slot, as
-    reduced numerators over one denominator.
+    The middle slots are resolved once.  The first pass substitutes zero
+    inputs, so it is the settled terms of each right side, those with no
+    letter of the half's input; a later pass substitutes the current inputs
+    into a right side only for a half whose input moved in the previous
+    pass, and only when it has live terms.  Returns the q~ and p~ solutions
+    by slot, as reduced numerators over one denominator.
     """
     registry = f_minus.registry
     truncation = f_minus.truncation
@@ -519,8 +498,7 @@ def compose_sharp(f_minus: Potential, f_plus: Potential,
         total = fm + fp - identity_series(middle, registry, truncation,
                                           q_side="middle", p_side="middle")
         result = substituted(total._terms, total._den, {**q_sol, **p_sol})
-    return Potential(_external_truncate(result, order),
-                     q_side=f_minus.q_side, p_side=f_plus.p_side)
+    return Potential(result, q_side=f_minus.q_side, p_side=f_plus.p_side)
 
 
 def reside_potential(potential: Potential, middle_orbits: set[str],

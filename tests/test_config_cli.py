@@ -187,6 +187,21 @@ class TestCli:
         assert code == 1
         assert "fail" in out
 
+    def test_weight_roundtrip_failure_exits_one(self, tmp_path):
+        # at truncation 2 the series drops the row (g,g,g), so the table read back lacks it
+        cfg = tmp_path / "roundtrip.cfg"
+        cfg.write_text(
+            "orbit g elliptic theta=3/10 max_iterate=4\n"
+            "curve m index=0 rel_c1_doubled=0 pos=(g)\n"
+            "table T curve=m\n(g) () 1\n(g,g) () 1/2\n(g,g,g) () 1/3\nend\n")
+        argv = ("--config", str(cfg), "--format", "records", "potential", "T")
+        assert run_cli("--truncation", "2", *argv) == (
+            1, "field=series\tvalue=p+[g] + 1/4*p+[g]^2\nfield=weight_roundtrip\tvalue=fail\n",
+            "")
+        code, out, err = run_cli("--truncation", "3", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "field=weight_roundtrip\tvalue=pass"
+
     def test_compose_identity(self, tmp_path):
         cfg = tmp_path / "compose.cfg"
         cfg.write_text(
@@ -606,11 +621,20 @@ _COLUMN_CASES = [
     # the atom g^5 first occurs on line 4: a rejected atom is resolved again where it recurs
     ("table T orbit=g\n(g) (g) 1\n(g^5) (g^5) 1\nend",
      "line 4 col 1: g^5: beyond declared bound max_iterate=4"),
+    ("truncation 0", "line 2 col 12: truncation must be positive"),
+    ("orbit a elliptic theta=3/10 max_iterate=4 morse=maybe",
+     "line 2 col 43: expected yes/no, got 'maybe'"),
+    ("curve c index=0 pos=a", "line 2 col 17: expected a parenthesized list, got 'a'"),
+    ("curve c index", "line 2 col 9: expected key=value, got 'index'"),
+    ("truncation 3 4", "line 2 col 1: truncation takes exactly one value"),
+    ("truncation 3\ntruncation 4", "line 3 col 1: duplicate truncation statement"),
+    ("neck n orbits=() plus=p minus=m", "line 2 col 8: neck needs at least one orbit"),
 ]
 _COLUMN_IDS = ["repeated-token", "suffix-of-earlier-token", "table-row", "bad-iterate-row",
                "odd-repeat-row", "unequal-degrees-row", "degree-zero-row", "not-a-multiple-row",
                "closed-curve-row", "negative-ramification-row", "duplicate-row",
-               "iterate-range-row"]
+               "iterate-range-row", "truncation-value", "bool-value", "list-value",
+               "bare-key", "truncation-arity", "truncation-twice", "empty-neck"]
 
 
 @pytest.mark.parametrize("statement, message", _COLUMN_CASES, ids=_COLUMN_IDS)
@@ -752,6 +776,27 @@ def test_a_hyperbolic_orbit_rejects_max_iterate(tmp_path):
     cfg.write_text("orbit a hyperbolic cz1=1 max_iterate=3\n")
     assert run_cli("--config", str(cfg), "check") == (
         2, "", "error E_PARSE: line 1: orbit a: max_iterate is elliptic-only data\n")
+
+
+def test_covers_outside_the_rank_hypotheses_are_reported_not_rejected(tmp_path):
+    # a hyperbolic end, and a base that is not immersed: the rank is E_HYPOTHESIS for
+    # both, the dimension is unknown for the second, and check still passes
+    cfg = tmp_path / "hypotheses.cfg"
+    cfg.write_text("orbit e elliptic theta=3/10 max_iterate=6\norbit h hyperbolic cz1=1\n"
+                   "curve w index=0 rel_c1_doubled=0 pos=(h)\n"
+                   "curve x immersed=no index=0 rel_c1_doubled=0 pos=(e)\n"
+                   "cover cw base=w degree=2 pos=(h,h)\ncover cx base=x degree=2 pos=(e,e)\n")
+    assert run_cli("--config", str(cfg), "--format", "records", "moduli") == (0, (
+        "cover=cw\tdegree=2\tindex=2\tbranch=2\tdim=4\tvirdim=2\trank=E_HYPOTHESIS\t"
+        "c_N_doubled=0\tc1_Nu=-4\tnotes=domain automorphisms left unquotiented "
+        "(fewer than three special points)\n"
+        "cover=cx\tdegree=2\tindex=2\tbranch=2\tdim=-\tvirdim=2\trank=E_HYPOTHESIS\t"
+        "c_N_doubled=0\tc1_Nu=-4\tnotes=E_NOT_IMMERSED\n"), "")
+    code, out, err = run_cli("--config", str(cfg), "check")
+    assert (code, err) == (0, "")
+    for name in ("cw", "cx"):
+        assert re.search(rf"^cover:{name} +pass +Z=2 ind=2 rank n/a \(E_HYPOTHESIS\) strata=2$",
+                         out, re.MULTILINE), out
 
 
 ZERO_COUNT = ("orbit g elliptic theta=3/10 max_iterate=4\n"

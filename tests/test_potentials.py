@@ -31,7 +31,6 @@ from localsft.errors import (
 from localsft.orbits import OrbitCollection, OrbitRegistry, ReebOrbit, _render_key, cz_iterate
 from localsft.potentials import (
     CountTable,
-    _external_truncate,
     Potential,
     assert_hamiltonian_vanishes,
     compose_sharp,
@@ -68,6 +67,12 @@ def var(name, k=1, kind="q", side="middle"):
 
 def S(v, coeff=1):
     return GradedSeries.of(REG, TRUNC, v, coeff)
+
+
+def _external_truncate(series, order):
+    """The terms of ``series`` with at most ``order`` letters."""
+    return GradedSeries(series.registry, series.truncation, {
+        mono: c for mono, c in series.terms() if sum(e for _, e in mono) <= order})
 
 
 def _letters(code):
