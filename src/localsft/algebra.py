@@ -502,7 +502,7 @@ def _right(b: PackedTerms) -> _Right:
 
 
 def _add_product(terms: PackedTerms, a: PackedTerms, right: _Right, truncation: int,
-                 scale: int = 1) -> PackedTerms:
+                 scale: int = 1, order: int | None = None) -> PackedTerms:
     """Accumulate ``scale * a * b`` into ``terms`` for ``right == _right(b)``, truncated in p.
 
     The product of two terms is the sum of their codes.  Its sign moves each
@@ -513,15 +513,20 @@ def _add_product(terms: PackedTerms, a: PackedTerms, right: _Right, truncation: 
     gives zero.  The right terms are sorted by p-degree, so a left term visits
     only those that keep the product within the truncation.  A left term
     whose letters and the right factor's longest term's would not fit in the
-    fields raises ``TruncationOverflow``.
+    fields raises ``TruncationOverflow``.  Given an ``order``, no product of
+    more than ``order`` letters is added: a left term that fits with the
+    longest right term skips the test, any other filters its batch once.
     """
     rows, p_degrees, longest = right
     odd, spread = _FIELDS.odd, _FIELDS.spread
     for code_a, coeff_a in a.items():
-        if (code_a & _LETTERS) + longest > _LETTERS:
-            raise TruncationOverflow(f"a product term of {(code_a & _LETTERS) + longest} "
+        length = code_a & _LETTERS
+        if length + longest > _LETTERS:
+            raise TruncationOverflow(f"a product term of {length + longest} "
                                      f"letters; at most {_LETTERS} fit in its fields")
         batch = rows[:bisect_right(p_degrees, truncation - (code_a >> _P_SHIFT & _LETTERS))]
+        if order is not None and length + longest > order:
+            batch = [row for row in batch if length + (row[0] & _LETTERS) <= order]
         coeff_a *= scale
         odd_a = code_a & odd
         if not odd_a:
@@ -677,13 +682,6 @@ def substitute(f: GradedSeries, assignment: dict[Variable, GradedSeries], *,
     return GradedSeries._of_packed(f.registry, f.truncation, terms, f._den * lift)
 
 
-def _kept(terms: PackedTerms, order: int | None) -> PackedTerms:
-    """The nonzero terms, and with an ``order`` only those of at most ``order`` letters."""
-    if order is None:
-        return {m: c for m, c in terms.items() if c}
-    return {m: c for m, c in terms.items() if c and m & _LETTERS <= order}
-
-
 def _preserves_parity(images: dict[int, tuple[PackedTerms, int]]) -> bool:
     """Whether every image term has its slot's parity: substitution is then a homomorphism."""
     return all(_odd(m) == slot & 1 for slot, (image, _) in images.items() for m in image)
@@ -699,16 +697,14 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
     Monomials with no slot of ``images`` (no letter in the mask of their
     fields) pass through, scaled by ``lift``; see ``substitute`` for the
     denominator.  Given an ``order``, the result has no term of more than
-    ``order`` letters, passed-through terms and each part's product included.
+    ``order`` letters: a longer term is not passed through, and no product
+    builds one.
 
     When every image term has its slot's parity, substitution is a homomorphism
     and needs no decoding: a code is ``s * x_rest * x_part``, its untouched
     rest times its moved part (``code & mask``), and the rests of one part,
     each with its sign ``s``, multiply the part's image once.  Other images
     go through ``_substitute_canonical``, which defines their result.
-
-    With an ``order``, a partial product longer than that is also dropped
-    after each product: letters only add up, so it feeds no kept term.
     """
     if not _preserves_parity(images):
         return _substitute_canonical(terms, images, truncation, order)
@@ -720,7 +716,8 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
     passed = groups.pop(0, [])
     lift = prod(den ** max((part >> shift & _LETTERS for part in groups), default=0)
                 for shift, slot in moved if (den := images[slot][1]) > 1)
-    out = dict(passed) if lift == 1 else {m: c * lift for m, c in passed}
+    out = (dict(passed) if lift == 1 and order is None
+           else {m: c * lift for m, c in passed if order is None or m & _LETTERS <= order})
     powers: dict[tuple[int, int], tuple[PackedTerms, _Right]] = {}  # (slot, e) -> image**e
     dead = _mask(slot for slot, (image, _) in images.items() if not image)
     for part, rows in groups.items():
@@ -736,12 +733,12 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
             if (slot, e) not in powers:
                 image = power = images[slot][0]
                 for _ in range(e - 1):
-                    power = _kept(_add_product({}, power, _right(image), truncation), order)
+                    power = _add_product({}, power, _right(image), truncation, order=order)
                 powers[slot, e] = power, _right(power)
             if product is None:
                 product, right = powers[slot, e]
             else:
-                product = _kept(_add_product({}, product, powers[slot, e][1], truncation), order)
+                product = _add_product({}, product, powers[slot, e][1], truncation, order=order)
                 right = None
         if not product:
             continue
@@ -754,8 +751,8 @@ def _substitute_slots(terms: PackedTerms, images: dict[int, tuple[PackedTerms, i
         scale = lift // den
         rests = {code - drop: -coeff * scale if (below & code).bit_count() & 1 else coeff * scale
                  for code, coeff in rows}
-        _add_product(out, rests, right or _right(product), truncation)
-    return (out if order is None else _kept(out, order)), lift
+        _add_product(out, rests, right or _right(product), truncation, order=order)
+    return out, lift
 
 
 def _substitute_canonical(terms: PackedTerms, images: dict[int, tuple[PackedTerms, int]],
@@ -777,31 +774,25 @@ def _substitute_canonical(terms: PackedTerms, images: dict[int, tuple[PackedTerm
             if slot in images and e > top.get(slot, 0):
                 top[slot] = e
     lift = prod(images[slot][1] ** e for slot, e in top.items())
-    out = dict(passed) if lift == 1 else {m: c * lift for m, c in passed}
-    powers: dict[tuple[int, int], PackedTerms] = {}  # (slot, e) -> nonzero terms of image**e
-    rights: dict[tuple[int, int], _Right] = {}  # _right of a power once it is a right factor
+    out = (dict(passed) if lift == 1 and order is None
+           else {m: c * lift for m, c in passed if order is None or m & _LETTERS <= order})
+    rights: dict[tuple[int, int], _Right] = {}  # (slot, e) -> _right(image**e)
     for runs, coeff in moved:
         mono_den = prod(images[slot][1] ** e for slot, e in runs if slot in images)
-        scale = coeff * (lift // mono_den)
-        acc: PackedTerms | None = None
+        acc = {0: coeff * (lift // mono_den)}  # from the empty monomial
         for key in runs:
-            if key not in powers:
+            if key not in rights:
                 slot, e = key
                 power = base = images[slot][0] if slot in images else {_packed(((slot, 1),))[0]: 1}
                 for _ in range(e - 1):
-                    power = _kept(_add_product({}, power, _right(base), truncation), order)
-                powers[key] = power
-            if acc is None:
-                acc = {m: c * scale for m, c in powers[key].items()}
-            else:
-                if key not in rights:
-                    rights[key] = _right(powers[key])
-                acc = _kept(_add_product({}, acc, rights[key], truncation), order)
+                    power = _add_product({}, power, _right(base), truncation, order=order)
+                rights[key] = _right(power)
+            acc = _add_product({}, acc, rights[key], truncation, order=order)
             if not acc:
                 break
         for m, c in acc.items():
             out[m] = out.get(m, 0) + c
-    return (out if order is None else _kept(out, order)), lift
+    return out, lift
 
 
 def reside(f: GradedSeries, *, kind: str, side: str, new_side: str,

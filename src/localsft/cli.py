@@ -3,14 +3,16 @@
 All reports are deterministic functions of the config document and flags.
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 hypothesis
 violation.  Errors print a single line ``error <CODE>: <explanation>`` to
-stderr.  The argument parser is built once per process; each ``main`` call
-only parses its arguments into a fresh namespace.
+stderr; a closed stdout ends a command with exit 1 and nothing on stderr.
+The argument parser is built once per process; each ``main`` call only
+parses its arguments into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -469,7 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout closed: keep the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except LocalSFTError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, HYPOTHESIS_ERRORS) else 1

@@ -699,6 +699,22 @@ def test_packed_products_match_letter_list_oracle(f_spec, g_spec):
         _fraction_terms(f), _fraction_terms(g))
 
 
+@settings(max_examples=150, deadline=None)
+@given(powers_strategy, powers_strategy, st.integers(-3, 3),
+       st.sampled_from((None, 0, 1, 2, 3, 5)))
+def test_a_product_given_an_order_builds_no_longer_term(f, g, scale, order):
+    def length(code):
+        return sum(e for _, e in _runs(code))
+
+    right = algebra._right(g._terms)
+    cut = algebra._add_product({}, f._terms, right, TRUNC, scale, order)
+    uncut = algebra._add_product({}, f._terms, right, TRUNC, scale)
+    if order is not None:  # zero numerators included
+        assert all(length(code) <= order for code in cut)
+    assert {m: c for m, c in cut.items() if c} == {
+        m: c for m, c in uncut.items() if c and (order is None or length(m) <= order)}
+
+
 _FIELD_ORDER_SCRIPT = """
 import sys
 from fractions import Fraction

@@ -233,6 +233,19 @@ class TestCli:
         assert proc.returncode == 0
         assert "-1/4" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [["cz", "gamma"], ["cz", "zeta", "--max-k", "10000"]])
+    def test_a_closed_stdout_exits_one_with_nothing_on_stderr(self, argv):
+        import os
+        import subprocess
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "localsft.cli", "--config", str(EXAMPLE),
+                                   *argv], stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
 
 def test_cylinder_neck_and_unordered_collection_roundtrip(tmp_path):
     text = (

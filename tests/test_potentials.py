@@ -842,12 +842,14 @@ class TestCriticalValue:
             Fraction(-9, 2))
 
     def test_no_partial_product_is_longer_than_the_order(self, monkeypatch):
-        left_lengths, out_lengths = [], []
+        left_lengths, out_lengths, reaches = [], [], []
         product = algebra._add_product
 
-        def spy(terms, a, right, *args):
-            left_lengths.extend(len(_letters(m)) for m in a)
-            out = product(terms, a, right, *args)
+        def spy(terms, a, right, *args, **kwargs):
+            lengths = [len(_letters(m)) for m in a]
+            left_lengths.extend(lengths)
+            reaches.append(max(lengths, default=0) + right[2])  # the longest uncut product
+            out = product(terms, a, right, *args, **kwargs)
             out_lengths.extend(len(_letters(m)) for m in out)
             return out
 
@@ -857,10 +859,11 @@ class TestCriticalValue:
         f_plus = _critical_series([(1, 1, (0, 2, 3)), (1, 3, (0, 0, 2)), (3, 1, (0, 4, 5))],
                                   _CRITICAL_PLUS, True)
         for order in (2, 3, 4):
-            del left_lengths[:], out_lengths[:]
+            del left_lengths[:], out_lengths[:], reaches[:]
             self._compose(f_minus, f_plus, _CRITICAL_MIDDLE, order)
             assert left_lengths and max(left_lengths) <= order
-            assert max(out_lengths) > order  # the products do reach beyond the order
+            assert max(out_lengths, default=0) <= order
+            assert max(reaches) > order  # uncut, the products would reach beyond the order
 
 
 class TestIdentitySeries:
