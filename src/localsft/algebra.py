@@ -40,8 +40,9 @@ monomials, and ``terms()`` lists them in canonical order.
 A series stores integer numerators over one positive denominator, reduced so
 that the denominator and all numerators have no common factor; equal series
 therefore have equal storage.  Products, derivatives, pairings and
-substitutions work on the integers and multiply denominators once per call;
-``terms()``, ``coefficient()`` and rendering build the ``Fraction`` values.
+substitutions work on the integers and multiply denominators once per call,
+and a result is reduced once, in the dict that built it; ``terms()``,
+``coefficient()`` and rendering build the ``Fraction`` values.
 
 Sign conventions, fixed once for the whole package:
 
@@ -311,13 +312,18 @@ def _odd_part(terms: PackedTerms) -> PackedTerms:
 def _reduced(terms: PackedTerms, den: int) -> tuple[PackedTerms, int]:
     """Numerators over ``den > 0`` with zeros dropped and the common factor divided out.
 
-    The reduced pair is unique, so equal values have equal pairs.
+    ``terms`` is reduced in place, so pass only a dict you built; its surviving keys
+    keep their order.  The reduced pair is unique, so equal values have equal pairs.
     """
-    terms = {m: c for m, c in terms.items() if c}
+    if 0 in terms.values():
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
     if den > 1:
         common = gcd(den, *terms.values())
         if common > 1:
-            return {m: c // common for m, c in terms.items()}, den // common
+            for m, c in terms.items():
+                terms[m] = c // common
+            den //= common
     return terms, den
 
 
@@ -365,7 +371,7 @@ class GradedSeries:
     @classmethod
     def _of_packed(cls, registry: OrbitRegistry, truncation: int,
                    terms: PackedTerms, den: int = 1) -> "GradedSeries":
-        """Series of truncated packed numerators over ``den > 0``, zeros dropped and reduced."""
+        """Series owning the packed numerators ``terms`` over ``den > 0``, reduced in place."""
         out = cls.__new__(cls)
         out.registry = registry
         out.truncation = truncation
@@ -532,7 +538,10 @@ def _add_product(terms: PackedTerms, a: PackedTerms, right: _Right, truncation: 
         if not odd_a:
             for code_b, coeff_b in batch:
                 code = code_a + code_b
-                terms[code] = terms.get(code, 0) + coeff_a * coeff_b
+                if code in terms:
+                    terms[code] += coeff_a * coeff_b
+                else:
+                    terms[code] = coeff_a * coeff_b
             continue
         above = odd_a >> _W
         for shift in spread:
@@ -542,10 +551,11 @@ def _add_product(terms: PackedTerms, a: PackedTerms, right: _Right, truncation: 
             if odd_a & code_b:
                 continue
             code = code_a + code_b
-            if (above & code_b).bit_count() & 1:
-                terms[code] = terms.get(code, 0) - coeff_a * coeff_b
+            x = -coeff_a * coeff_b if (above & code_b).bit_count() & 1 else coeff_a * coeff_b
+            if code in terms:
+                terms[code] += x
             else:
-                terms[code] = terms.get(code, 0) + coeff_a * coeff_b
+                terms[code] = x
     return terms
 
 

@@ -980,3 +980,71 @@ def test_parity_preserving_substitution_and_reside_decode_no_monomial(monkeypatc
     assert moved[1] == _substitute_reside(sided, kind="p", side="minus", new_side="plus",
                                           orbit_names={"b"})
     assert moved[2] == _substitute_reside(f, kind="q", side="middle", new_side="minus")
+
+
+# -- storage: every result reduced in the dict that built it, no input touched --------
+
+def _storage(series):
+    """Everything a series stores, in its order."""
+    return list(series._terms.items()), series._den
+
+
+def _assert_canonical(series):
+    den, nums = series._den, list(series._terms.values())
+    assert den > 0 and 0 not in nums
+    assert math.gcd(den, *nums) == 1
+    assert nums or den == 1
+
+
+def _algebra_calls(f, g, c, v, assignment, retag):
+    """``(inputs, call)`` for every public series operation; a call gives a list of series."""
+    kind, side, new_side = retag
+    return [
+        ((f, g), lambda: [multiply(f, g)]),
+        ((f,), lambda: [multiply(f, f)]),
+        ((f, g), lambda: [f + g, f - g]),
+        ((f,), lambda: [f - f]),
+        ((f,), lambda: [f.scale(c)]),
+        ((f,), lambda: [partial(f, v), partial_right(f, v)]),
+        ((f, g), lambda: [poisson_bracket(f, g)]),
+        ((f, *assignment.values()), lambda: [substitute(f, assignment, check_degrees=False)]),
+        ((f,), lambda: [reside(f, kind=kind, side=side, new_side=new_side)]),
+        ((f,), lambda: list(f.by_degree().values())),
+    ]
+
+
+_algebra_inputs = (
+    prime_series, prime_series, prime_fractions, st.sampled_from(SIDED_VARS),
+    st.dictionaries(st.sampled_from(SIDED_VARS), prime_series, max_size=2),
+    st.tuples(st.sampled_from(("p", "q")), st.sampled_from(SIDES), st.sampled_from(SIDES)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_algebra_inputs)
+def test_every_result_is_stored_reduced(f, g, c, v, assignment, retag):
+    for _, call in _algebra_calls(f, g, c, v, assignment, retag):
+        for result in call():
+            _assert_canonical(result)
+    # a cancellation to nothing, and a common factor of every numerator and the denominator
+    zero = multiply(f, g) + multiply(f.scale(-1), g)
+    assert zero.is_zero() and zero._den == 1
+    halved = f.scale(2 * f._den).scale(Fraction(1, 2))
+    _assert_canonical(halved)
+    assert halved == f.scale(f._den)
+    # reduced in place, the surviving terms keep the order a copying reduction gives
+    raw = algebra._add_product({}, f._terms, algebra._right(g._terms), TRUNC)
+    den = 2 * f._den * g._den
+    kept = {m: x for m, x in raw.items() if x}
+    common = math.gcd(den, *kept.values())
+    want = [(m, x // common) for m, x in kept.items()], den // common
+    terms, got_den = algebra._reduced(raw, den)
+    assert terms is raw and (list(terms.items()), got_den) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_algebra_inputs)
+def test_no_operation_changes_its_inputs(f, g, c, v, assignment, retag):
+    for inputs, call in _algebra_calls(f, g, c, v, assignment, retag):
+        before = [_storage(s) for s in inputs]
+        call()
+        assert [_storage(s) for s in inputs] == before

@@ -7,6 +7,7 @@ the opposite composition convention, and tests transitivity by union-find.
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial, prod
 
@@ -229,6 +230,45 @@ def test_closed_forms_beyond_enumeration(d):
         assert hurwitz_count(d, [mu], d + n) == _genus_one(mu), mu
         for g in range(3):
             assert hurwitz_count(d, [(d,), mu], 2 * g - 1 + n) == _one_part_double(mu, g), (mu, g)
+
+
+def _cut_and_join(lam):
+    """{cycle type of pi t: number of transpositions t} for a fixed pi of cycle type lam.
+
+    A t inside an m-cycle cuts it into j and m - j (m choices of t, or m/2
+    when j = m/2); a t across cycles of sizes a and b joins them (a*b
+    choices) (Goulden and Jackson, Proc. AMS 1997).
+    """
+    out = Counter()
+    for i, m in enumerate(lam):
+        rest = lam[:i] + lam[i + 1:]
+        for j in range(1, m // 2 + 1):
+            out[tuple(sorted(rest + (j, m - j), reverse=True))] += m // 2 if 2 * j == m else m
+        for k in range(i + 1, len(lam)):
+            joined = rest[:k - 1] + rest[k:] + (m + lam[k],)
+            out[tuple(sorted(joined, reverse=True))] += m * lam[k]
+    return out
+
+
+@pytest.mark.parametrize("d", range(7, 13))
+def test_disconnected_counts_match_cut_and_join(d):
+    # sum_x c_x x^b = d! |C_mu| N_b(mu -> nu): tuples of a mu-permutation, a nu-permutation
+    # and b transpositions with identity product, by iterating cut-and-join b times from mu
+    parts = partitions(d)
+    steps = {lam: _cut_and_join(lam) for lam in parts}
+    assert all(sum(step.values()) == d * (d - 1) // 2 for step in steps.values())
+    for mu in parts:
+        reach = Counter({mu: 1})  # N_b(mu -> nu) for b = 0
+        for b in range(4):
+            for nu in parts:
+                c = covers._disconnected(d, covers._moving((mu, nu)))
+                assert sum(c_x * x ** b for x, c_x in c.items()) == (
+                    factorial(d) * _class_size(d, mu) * reach[nu]), (mu, nu, b)
+            following = Counter()
+            for lam, n in reach.items():
+                for kappa, k in steps[lam].items():
+                    following[kappa] += n * k
+            reach = following
 
 
 def test_simple_branching_in_degrees_two_and_three_up_to_the_bound():

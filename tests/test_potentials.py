@@ -1077,6 +1077,46 @@ class TestLagrangianRestrict:
         assert lagrangian_restrict(g, f_v).is_zero()
 
 
+# the letters of the small potentials below: q-[gm], p+[gp], p+[gm], q-[gp], q+[gp], p-[gm]
+_SMALL_LETTERS = [var("gm", kind="q", side="minus"), var("gp", kind="p", side="plus"),
+                  var("gm", kind="p", side="plus"), var("gp", kind="q", side="minus"),
+                  var("gp", kind="q", side="plus"), var("gm", kind="p", side="minus")]
+
+
+def _small(pair):
+    """Series of terms in the two letters ``pair`` of ``_SMALL_LETTERS``."""
+    return st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                              st.lists(st.sampled_from(pair), min_size=1, max_size=3)),
+                    max_size=3).map(lambda spec: _solve_series(spec, _SMALL_LETTERS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_critical_term, max_size=3), st.lists(_critical_term, max_size=3),
+       st.booleans(), st.integers(0, 4), _small((0, 1)), _small((0, 2)), _small((3, 1)),
+       _small((4, 5)))
+def test_no_composition_changes_its_inputs(minus_spec, plus_spec, even, order, f0, f10, f01, g):
+    f_minus = _critical_series(minus_spec, _CRITICAL_MINUS, even)
+    f_plus = _critical_series(plus_spec, _CRITICAL_PLUS, even)
+    mm, mp = [REG.get("gm").iterate(1)], [REG.get("gp").iterate(1)]
+    calls = [
+        ((f_minus, f_plus), lambda: compose_sharp(Potential(f_minus, p_side="middle"),
+                                                  Potential(f_plus, q_side="middle"),
+                                                  _CRITICAL_MIDDLE, order)),
+        ((f0, f10, f01), lambda: transform_potential(Potential(f0), Potential(f10),
+                                                     Potential(f01), mm, mp, order)),
+        ((f_minus, f_plus, f0), lambda: hamilton_jacobi_rhs(Potential(f_minus),
+                                                            Potential(f_plus), f0)),
+        ((g, f0), lambda: lagrangian_restrict(g, Potential(f0))),
+    ]
+    for inputs, call in calls:
+        before = [(list(s._terms.items()), s._den) for s in inputs]
+        try:
+            call()
+        except LocalSFTError:  # a failed composition must leave its inputs as well
+            pass
+        assert [(list(s._terms.items()), s._den) for s in inputs] == before
+
+
 def test_reside_potential_moves_one_slot():
     qm = S(var("a", kind="q", side="minus"))
     pp = S(var("a", kind="p", side="plus"))
